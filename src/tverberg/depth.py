@@ -10,13 +10,21 @@ denominators (a positive per-point scaling that preserves every sign), to
 minimizing over nonzero integer directions v the set {w : <v, w> >= 0}.  The
 minimum is attained in an open cell of the central hyperplane arrangement of
 the w's, and every open cell touches a "vertex" direction orthogonal to some
-spanning subset of size rank-1.  The search therefore enumerates vertex
-directions and resolves points lying exactly on a candidate hyperplane by
-recursing on them: an infinitesimal tilt keeps every strictly-signed point
-on its side and re-plays the same minimization among the boundary points.
-Realized witnesses are exact: a tilt by 1/K with integer K larger than any
-inner product cannot flip a strict sign, so nested tilts collapse to a
-single integer normal.
+spanning subset of size rank-1.  The search writes the w's in coordinates of
+an integer basis of their span (rank k) and enumerates the vertex directions
+with ``linalg.hyperplane_normals``: it walks the (k-1)-subsets depth-first in
+lexicographic order, and each subset prefix shares one fraction-free
+(Bareiss) elimination, so appending a point costs one row reduction against
+the prefix and a linearly dependent prefix prunes its whole subtree.  A leaf
+reads two maximal minors off its reduced last row and recovers the rest of
+the kernel vector by exact back-substitution.  Each hyperplane is examined
+once, in both orientations, at its first spanning subset.  Points lying
+exactly on a candidate hyperplane are resolved by recursing on them: an
+infinitesimal tilt keeps every strictly-signed point on its side and
+re-plays the same minimization among the boundary points.  Realized
+witnesses are exact: a tilt by 1/K with integer K larger than any inner
+product cannot flip a strict sign, so nested tilts collapse to a single
+integer normal.
 
 The same enumeration, run without the minimization and keeping one realized
 half-space per locally perturbed cell, yields an explicit certificate family
@@ -30,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .geometry import HalfSpace, PointConfig, side_counts
@@ -38,7 +47,7 @@ from .linalg import (
     Vector,
     clear_denominators,
     dot,
-    kernel_vector,
+    hyperplane_normals,
     primitive,
     row_basis,
     scalar_to_str,
@@ -74,7 +83,7 @@ class DepthCertificate:
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _shifted_int_vectors(
@@ -95,10 +104,25 @@ def _shifted_int_vectors(
 
 
 def _canon(vec: IntVec) -> IntVec:
-    """Primitive form with positive leading nonzero entry, for deduping."""
-    p = primitive(vec)
-    lead = next(x for x in p if x != 0)
-    return p if lead > 0 else tuple(-x for x in p)
+    """A primitive vector oriented to a positive leading nonzero entry."""
+    lead = next(x for x in vec if x != 0)
+    return vec if lead > 0 else tuple(-x for x in vec)
+
+
+def _distinct_normals(coords: Sequence[IntVec], k: int):
+    """One kernel vector per candidate hyperplane of the rank-k coordinates,
+    in the order its first spanning (k-1)-subset is enumerated."""
+    seen: set[IntVec] = set()
+    for _, z in hyperplane_normals(coords, k):
+        key = _canon(z)
+        if key not in seen:
+            seen.add(key)
+            yield z
+
+
+def _lift_normal(z: IntVec, basis: Sequence[IntVec]) -> IntVec:
+    """The ambient vector with coordinates z in the given row basis."""
+    return tuple(_idot(z, column) for column in zip(*basis))
 
 
 def _combine(top: IntVec, sub: IntVec | None, strict: Sequence[IntVec]) -> IntVec:
@@ -137,20 +161,10 @@ def _search(
 
     best_val: int | None = None
     best_normal: IntVec | None = None
-    seen: set[IntVec] = set()
-    for subset in combinations(range(len(items)), k - 1):
-        z = kernel_vector([coords[i] for i in subset])
-        if z is None:
-            continue  # linearly dependent subset, spans no hyperplane
-        key = _canon(z)
-        if key in seen:
-            continue
-        seen.add(key)
+    for z in _distinct_normals(coords, k):
         counter[0] += 2
-        dots = [_idot(z, cv) for cv in coords]
+        dots = [sum(map(mul, z, cv)) for cv in coords]
         boundary = [items[i] for i, s in enumerate(dots) if s == 0]
-        strict = [items[i][1] for i, s in enumerate(dots) if s != 0]
-        normal = tuple(sum(zj * q[t] for zj, q in zip(z, basis)) for t in range(len(items[0][1])))
         for sign in (1, -1):
             new = {
                 labels[idx]
@@ -165,7 +179,8 @@ def _search(
             value = len(new) + sub_val
             if best_val is None or value < best_val:
                 best_val = value
-                top = normal if sign > 0 else tuple(-x for x in normal)
+                top = _lift_normal(z if sign > 0 else tuple(-x for x in z), basis)
+                strict = [items[i][1] for i, s in enumerate(dots) if s != 0]
                 best_normal = _combine(top, sub_normal, strict)
                 if best_val == 0:
                     return best_val, best_normal
@@ -315,21 +330,11 @@ def _cell_normals(vecs: list[IntVec]) -> list[IntVec]:
     if k == 1:
         return [basis[0], tuple(-x for x in basis[0])]
     out: list[IntVec] = []
-    seen: set[IntVec] = set()
-    for subset in combinations(range(len(vecs)), k - 1):
-        z = kernel_vector([coords[i] for i in subset])
-        if z is None:
-            continue
-        key = _canon(z)
-        if key in seen:
-            continue
-        seen.add(key)
+    for z in _distinct_normals(coords, k):
         dots = [_idot(z, cv) for cv in coords]
         boundary = [vecs[i] for i, s in enumerate(dots) if s == 0]
         strict = [vecs[i] for i, s in enumerate(dots) if s != 0]
-        normal = tuple(
-            sum(zj * q[t] for zj, q in zip(z, basis)) for t in range(len(vecs[0]))
-        )
+        normal = _lift_normal(z, basis)
         for oriented in (normal, tuple(-x for x in normal)):
             if not boundary:
                 out.append(oriented)

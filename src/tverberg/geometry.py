@@ -73,9 +73,6 @@ class HalfSpace:
     def contains(self, x: Vector) -> bool:
         return dot(self.normal, x) >= self.offset
 
-    def on_boundary(self, x: Vector) -> bool:
-        return dot(self.normal, x) == self.offset
-
 
 def make_config(
     points: Iterable[Iterable[int | str | Fraction]],
@@ -164,13 +161,19 @@ def config_from_json(data: dict) -> PointConfig:
         raw_points = data["points"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed configuration JSON: {exc}") from exc
+    if not isinstance(raw_points, list) or not all(
+        isinstance(row, list) for row in raw_points
+    ):
+        raise ValueError("malformed configuration JSON: points must be a list of lists")
     points = tuple(tuple(scalar_from_str(x) for x in row) for row in raw_points)
     colors = data.get("colors")
-    return PointConfig(
-        dim=dim,
-        points=points,
-        colors=tuple(int(c) for c in colors) if colors is not None else None,
-    )
+    if colors is not None and not isinstance(colors, list):
+        raise ValueError("malformed configuration JSON: colors must be a list")
+    try:
+        colors = tuple(int(c) for c in colors) if colors is not None else None
+    except TypeError as exc:
+        raise ValueError(f"malformed configuration JSON: {exc}") from exc
+    return PointConfig(dim=dim, points=points, colors=colors)
 
 
 def save_config(cfg: PointConfig, path: str | Path) -> None:

@@ -60,9 +60,6 @@ class LiftedChoice:
         lifted_dim = (self.source.dim + 1) * (self.basis.r - 1)
         return PointConfig(dim=lifted_dim, points=self.lifted_points)
 
-    def lifted_of_source(self) -> dict[int, int]:
-        return {src: j for j, src in enumerate(self.source_index)}
-
 
 def companion_basis(r: int) -> CompanionBasis:
     """Companion vectors e_1, ..., e_(r-1), -(e_1 + ... + e_(r-1))."""

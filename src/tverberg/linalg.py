@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -28,8 +29,10 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str):
+        return scalar_from_str(value)
     raise TypeError(f"cannot convert {type(value).__name__} to an exact scalar")
 
 
@@ -39,8 +42,17 @@ def scalar_to_str(x: Fraction) -> str:
 
 
 def scalar_from_str(text: str) -> Fraction:
-    """Parse "p/q" or an exact decimal string."""
-    return Fraction(text.strip())
+    """Parse "p/q" or an exact decimal string.
+
+    Raises ValueError for anything else, a non-string or a zero
+    denominator included, so malformed input reads as invalid input.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"expected a number string, got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def as_vector(entries: Iterable[int | str | Fraction]) -> Vector:
@@ -70,10 +82,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
 
 
 def clear_denominators(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -240,8 +248,14 @@ def kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     """Primitive integer kernel vector of a (k-1) x k integer matrix.
 
     Computed as the vector of signed maximal minors (the generalized cross
-    product).  Returns None when the rows are linearly dependent, in which
-    case every minor vanishes.
+    product): entry j is (-1)^j times the minor that drops column j.
+    Returns None when the rows are linearly dependent, in which case every
+    minor vanishes.
+
+    One row (a, b) is the exception: it gives primitive (-b, a), the
+    negative of the general rule's (b, -a).  The sign orients the two
+    candidate half-spaces in the one-row case of the depth search, so it
+    is kept as it is; ``hyperplane_normals`` reproduces it.
     """
     m = len(rows)
     k = m + 1
@@ -270,3 +284,145 @@ def kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
         if sum(a * b for a, b in zip(r, vec)) != 0:
             raise AssertionError("kernel vector fails orthogonality")
     return vec
+
+
+def hyperplane_normals(
+    rows: Sequence[Sequence[int]], k: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Kernel vectors of every (k-1)-subset of the length-k integer rows.
+
+    Yields ``(subset, kernel_vector([rows[i] for i in subset]))`` for each
+    ``subset`` of ``combinations(range(len(rows)), k - 1)``, in that order,
+    skipping the subsets whose kernel vector is None.  The vectors are
+    bit-identical to ``kernel_vector``, sign included.
+
+    The subsets are walked depth-first and each prefix shares one
+    fraction-free (Bareiss) elimination: a prefix node keeps its reduced
+    rows, pivot columns and pivot values, so appending a row costs one
+    reduction against the prefix, and a linearly dependent prefix prunes
+    its whole subtree.  At a leaf the two non-pivot entries of the reduced
+    last row are two maximal minors (Sylvester's identity); after a sign
+    fix for the pivot-column order they are two signed cofactors, and the
+    other entries follow by exact integer back-substitution.  For k <= 3
+    every maximal minor is a 2 x 2 one, so the leaf is the closed-form
+    cross product instead.
+    """
+    if k < 2 or any(len(r) != k for r in rows):
+        raise ValueError("hyperplane_normals expects rows of length k >= 2")
+    if k == 2:
+        for i, (a, b) in enumerate(rows):
+            if a or b:
+                yield (i,), primitive((-b, a))
+    elif k == 3:
+        yield from _cross_normals(rows)
+    else:
+        yield from _eliminated_normals(rows, k)
+
+
+def _checked(vec: tuple[int, ...], subset_rows) -> tuple[int, ...]:
+    for r in subset_rows:
+        if sum(map(mul, r, vec)):
+            raise AssertionError("kernel vector fails orthogonality")
+    return vec
+
+
+def _cross_normals(rows: Sequence[Sequence[int]]):
+    n = len(rows)
+    for i in range(n - 1):
+        a = rows[i]
+        a1, a2, a3 = a
+        if not (a1 or a2 or a3):
+            continue  # a zero row spans nothing with any partner
+        for j in range(i + 1, n):
+            b = rows[j]
+            b1, b2, b3 = b
+            x, y, z = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+            if not (x or y or z):
+                continue
+            g = gcd(x, y, z)
+            if g > 1:
+                x, y, z = x // g, y // g, z // g
+            yield (i, j), _checked((x, y, z), (a, b))
+
+
+def _eliminated_normals(rows: Sequence[Sequence[int]], k: int):
+    n = len(rows)
+    top = k - 2  # prefix rows above a leaf
+    # Per prefix level s: its reduced row, pivot column and pivot value.
+    # rest[s] lists the columns not among the first s pivots, and parity[s]
+    # the parity of the inversions of those pivot columns.
+    reduced: list[list[int]] = [[]] * top
+    pivot_col = [0] * top
+    pivot_val = [0] * top
+    rest: list[list[int]] = [list(range(k))] + [[]] * top
+    parity = [0] * (top + 1)
+    chosen = [0] * top
+
+    def eliminate(row: Sequence[int], levels: int) -> list[int]:
+        """``row`` eliminated against the first ``levels`` prefix rows."""
+        v = list(row)
+        prev = 1
+        for s in range(levels):
+            p = pivot_val[s]
+            lead = v[pivot_col[s]]
+            if lead:
+                red = reduced[s]
+                for c in rest[s + 1]:
+                    v[c] = (p * v[c] - lead * red[c]) // prev
+            elif p != prev:
+                for c in rest[s + 1]:
+                    v[c] = p * v[c] // prev
+            prev = p
+        return v
+
+    def leaves():
+        c1, c2 = rest[top]
+        # Entry c of the reduced leaf row is the minor on the columns
+        # (pivot_col..., c).  Cofactor c1 is (-1)^c1 times the minor that
+        # drops c1, i.e. entry c2 with its columns sorted: the sort costs the
+        # pivots' own inversions plus the k-1-c2 pivots above c2.  Cofactor
+        # c2 takes the other sign, as f1 * out[c1] + f2 * out[c2] must vanish.
+        flip = (c1 + parity[top] + k - 1 - c2) & 1
+        prefix = tuple(chosen)
+        prefix_rows = [rows[i] for i in chosen]
+        back = range(top - 1, -1, -1)
+        for j in range(chosen[-1] + 1, n):
+            v = eliminate(rows[j], top)
+            f1, f2 = v[c1], v[c2]
+            if not (f1 or f2):
+                continue
+            out = [0] * k
+            if flip:
+                out[c1], out[c2] = -f2, f1
+            else:
+                out[c1], out[c2] = f2, -f1
+            for s in back:
+                red = reduced[s]
+                acc = 0
+                for c in rest[s + 1]:
+                    acc += red[c] * out[c]
+                out[pivot_col[s]] = -acc // pivot_val[s]
+            g = gcd(*out)
+            vec = tuple(out) if g == 1 else tuple(x // g for x in out)
+            yield prefix + (j,), _checked(vec, prefix_rows + [rows[j]])
+
+    def descend(level: int, start: int):
+        if level == top:
+            yield from leaves()
+            return
+        free = rest[level]
+        for i in range(start, n - (k - 2 - level)):
+            v = eliminate(rows[i], level)
+            col = next((c for c in free if v[c]), None)
+            if col is None:
+                continue  # dependent prefix: every extension is dependent
+            chosen[level] = i
+            reduced[level] = v
+            pivot_col[level] = col
+            pivot_val[level] = v[col]
+            rest[level + 1] = [c for c in free if c != col]
+            above = sum(1 for c in pivot_col[:level] if c > col)
+            parity[level + 1] = (parity[level] + above) & 1
+            yield from descend(level + 1, i + 1)
+
+    yield from descend(0, 0)

@@ -21,7 +21,7 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class ConvexWitness:
-    """Convex coefficients indexed by point, with per-group sums.
+    """Convex coefficients indexed by point, grouped by key.
 
     ``coefficients`` lists (point index, weight) for every participating
     point; weights are nonnegative and each group's weights sum to one.
@@ -30,17 +30,6 @@ class ConvexWitness:
 
     coefficients: tuple[tuple[int, Fraction], ...]
     groups: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def weight(self, index: int) -> Fraction:
-        for i, w in self.coefficients:
-            if i == index:
-                return w
-        raise KeyError(index)
-
-    def group_sum(self, key: int) -> Fraction:
-        members = dict(self.groups)[key]
-        weights = dict(self.coefficients)
-        return sum((weights[i] for i in members), _ZERO)
 
 
 def _solve_feasibility(

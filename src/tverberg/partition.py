@@ -36,12 +36,16 @@ class Partition:
             raise ValueError(f"part id {part_id} out of range 1..{self.r}")
         return [i for i, l in enumerate(self.labels) if l == part_id]
 
-    def min_part_size(self) -> int:
-        return min(len(p) for p in self.parts())
-
     def to_json(self) -> dict:
         return {"r": self.r, "labels": list(self.labels)}
 
     @classmethod
     def from_json(cls, data: dict) -> "Partition":
-        return cls(r=int(data["r"]), labels=tuple(int(x) for x in data["labels"]))
+        try:
+            r, raw_labels = int(data["r"]), data["labels"]
+            if not isinstance(raw_labels, list):
+                raise TypeError("labels must be a list")
+            labels = tuple(int(x) for x in raw_labels)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed partition JSON: {exc}") from exc
+        return cls(r=r, labels=labels)

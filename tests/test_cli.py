@@ -251,6 +251,32 @@ def test_plot_rejects_other_dimensions(capsys, tmp_path):
     assert "dimension" in err
 
 
+def test_partition_labels_not_a_list_is_invalid(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    part = tmp_path / "p.json"
+    assert run_cli(capsys, "gen", "line", "--n", "5", "--out", str(cfg))[0] == 0
+    part.write_text(json.dumps({"r": 2, "labels": 5}))
+    code, _, err = run_cli(capsys, "verify", str(cfg), str(part))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_points_not_a_list_is_invalid(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dimension": 2, "points": 5}))
+    code, _, err = run_cli(capsys, "depth", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_zero_denominator_coordinate_is_invalid(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dimension": 1, "points": [["1/0"], ["2/1"]]}))
+    code, _, err = run_cli(capsys, "depth", str(cfg))
+    assert code == 2
+    assert "zero denominator" in err
+
+
 def test_missing_input_file_is_invalid(capsys):
     code, _, err = run_cli(capsys, "depth", "/nonexistent/cfg.json")
     assert code == 2

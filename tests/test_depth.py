@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from tverberg.depth import block_depth, candidate_halfspaces, depth, depth_oracle
 from tverberg.geometry import make_config, side_counts
+from tverberg.lift import lift_partition
 from tverberg.limits import BudgetExceeded
+from tverberg.partition import Partition
 
 from conftest import depth_1d, random_int_config
 
@@ -188,3 +190,40 @@ def test_certificate_json():
     data = cert.to_json()
     assert data["depth"] == 1
     assert set(data["witness_halfspace"]) == {"normal", "offset"}
+
+
+# Twelve points of the radius-9 disc in a balanced r=3 partition; lifted to
+# dimension (d+1)(r-1) = 6, where the direction enumeration runs at k = 6.
+_LIFT_POINTS = [(6, -1), (6, 2), (-1, 6), (-3, 4), (-6, -3), (-1, -7),
+                (4, 1), (-7, 2), (4, -1), (5, -6), (-3, 0), (2, 6)]
+_LIFT_LABELS = (2, 1, 2, 3, 2, 3, 3, 1, 2, 1, 3, 1)
+
+
+def _lifted_r3():
+    cfg = make_config(_LIFT_POINTS)
+    return lift_partition(cfg, Partition(r=3, labels=_LIFT_LABELS)).config()
+
+
+def test_lifted_r3_depth_pinned():
+    # count and witness pin the enumeration order and the kernel signs
+    lifted = _lifted_r3()
+    cert = depth(lifted, (0,) * 6)
+    assert cert.depth == 2
+    assert cert.candidate_count == 1034
+    assert cert.witness.normal == tuple(F(x) for x in (
+        -6987500529746196, 1732242610080, -31440287550778382,
+        1732242609115, 104805578280033899, -8661213051403,
+    ))
+    assert cert.witness.offset == 0
+
+
+def test_lifted_r3_block_depth_pinned():
+    lifted = _lifted_r3()
+    blocks = [[2 * b, 2 * b + 1] for b in range(6)]
+    cert = block_depth(lifted, blocks, (0,) * 6)
+    assert cert.depth == 1
+    assert cert.candidate_count == 1064
+    assert cert.witness.normal == tuple(F(x) for x in (
+        -625580762639530884, 560209344, -113751537498641238,
+        560208379, -1421736135664820412, -2801047723,
+    ))
