@@ -266,14 +266,16 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    method = _METHODS[args.method]
+    _require(
+        args.t_cap is None or (args.mode != "reay" and method == EXHAUSTIVE),
+        "--t-cap applies to the exhaustive method in plain or colored mode only",
+    )
+    _require(args.k is None or args.mode == "reay", "--k applies to reay mode only")
     cfg = load_config(args.input)
     p = _load_partition(args.partition)
-    method = _METHODS[args.method]
     if args.mode == "plain":
         if method == LIFTED:
-            _require(
-                args.t_cap is None, "--t-cap applies to the exhaustive method only"
-            )
             report = tolerance_by_lifted_depth(cfg, p)
         else:
             report = tolerance_exhaustive(cfg, p, t_cap=args.t_cap, budget=args.budget)

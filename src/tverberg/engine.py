@@ -10,7 +10,7 @@ same partitions and certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple, TypeVar
 
 from .depth import depth
 from .geometry import PointConfig
@@ -25,6 +25,8 @@ from .verify import (
 )
 
 DEFAULT_TRIALS = 64
+
+Report = TypeVar("Report", ToleranceReport, ReayReport)
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,13 @@ def certified_partition(
     n = len(cfg.points)
     if n <= r * t_target:
         return None
-    for i in range(max_trials):
-        p = random_partition(n, r, substream_seed(seed, i))
-        report = tolerance_by_lifted_depth(cfg, p)
-        if report.tolerance >= t_target:
-            return p, report
-    return None
+    return _first_certified(
+        lambda s: random_partition(n, r, s),
+        lambda p: tolerance_by_lifted_depth(cfg, p),
+        t_target,
+        seed,
+        max_trials,
+    )
 
 
 def certified_colored_partition(
@@ -121,18 +124,19 @@ def certified_colored_partition(
 
     n = len(cfg.points)
     colors = sorted(classes)
-    for i in range(max_trials):
-        rng = SplitMix64(substream_seed(seed, i))
+
+    def draw(trial_seed: int) -> Partition:
+        rng = SplitMix64(trial_seed)
         labels = [0] * n
         for color in colors:
             perm = rng.permutation(r)
             for pos, idx in enumerate(classes[color]):
                 labels[idx] = perm[pos]
-        p = Partition(r, tuple(labels))
-        report = colored_tolerance(cfg, p)
-        if report.tolerance >= t_target:
-            return p, report
-    return None
+        return Partition(r, tuple(labels))
+
+    return _first_certified(
+        draw, lambda p: colored_tolerance(cfg, p), t_target, seed, max_trials
+    )
 
 
 def certified_reay_partition(
@@ -151,12 +155,13 @@ def certified_reay_partition(
     n = len(cfg.points)
     if n <= r * t_target:
         return None
-    for i in range(max_trials):
-        p = random_partition(n, r, substream_seed(seed, i))
-        report = reay_tolerance(cfg, p, k)
-        if report.tolerance >= t_target:
-            return p, report
-    return None
+    return _first_certified(
+        lambda s: random_partition(n, r, s),
+        lambda p: reay_tolerance(cfg, p, k),
+        t_target,
+        seed,
+        max_trials,
+    )
 
 
 def sign_assignment(
@@ -190,6 +195,23 @@ def sign_assignment(
             best = (SignAssignment(signs), tolerance)
     assert best is not None
     return best
+
+
+def _first_certified(
+    draw: Callable[[int], Partition],
+    certify: Callable[[Partition], Report],
+    t_target: int,
+    seed: int,
+    max_trials: int,
+) -> Optional[Tuple[Partition, Report]]:
+    """The first trial partition, drawn from substream (seed, i), whose
+    certified tolerance reaches t_target, with its report; or None."""
+    for i in range(max_trials):
+        p = draw(substream_seed(seed, i))
+        report = certify(p)
+        if report.tolerance >= t_target:
+            return p, report
+    return None
 
 
 def _check_search(r: int, t_target: int, max_trials: int) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Sequence
+from typing import Collection
 
 from .geometry import PointConfig
 from .linalg import Vector
@@ -39,22 +39,13 @@ class CompanionBasis:
 
 @dataclass(frozen=True)
 class LiftedChoice:
-    """Lifted points for the assigned sources of a partition.
-
-    ``source_index[j]`` is the source point behind lifted point j, and
-    ``grouping[j]`` its block id (the source index itself: blocks are
-    singletons here; callers wanting coarser blocks regroup by color).
-    ``assignment`` records, per source point, the part id that was lifted,
-    or None when the point's part was outside the restriction.
-    """
+    """Lifted points of a partition; ``source_index[j]`` is the source
+    point behind lifted point j."""
 
     source: PointConfig
-    assignment: tuple[int | None, ...]
     lifted_points: tuple[Vector, ...]
-    grouping: tuple[int, ...]
     source_index: tuple[int, ...]
     basis: CompanionBasis
-    part_order: tuple[int, ...]
 
     def config(self) -> PointConfig:
         lifted_dim = (self.source.dim + 1) * (self.basis.r - 1)
@@ -78,46 +69,20 @@ def lift_point(a: Vector, u: Vector) -> Vector:
     return tuple(bt * us for bt in b for us in u)
 
 
-def lift_partition(
-    cfg: PointConfig, p: Partition, restrict_to: Collection[int] | None = None
-) -> LiftedChoice:
-    """Lift every point whose part lies in ``restrict_to`` (default: all).
-
-    Part ids in the restriction are sorted and mapped, in order, onto the
-    companion basis for that many parts.
-    """
+def lift_partition(cfg: PointConfig, p: Partition) -> LiftedChoice:
+    """Lift every point onto the companion vector of its part."""
     if len(p.labels) != len(cfg.points):
         raise ValueError("partition labels must align with the points")
-    if restrict_to is None:
-        part_order = tuple(range(1, p.r + 1))
-    else:
-        part_order = tuple(sorted(set(restrict_to)))
-        if not all(1 <= j <= p.r for j in part_order):
-            raise ValueError(f"restriction {part_order} exceeds parts 1..{p.r}")
-    basis = companion_basis(len(part_order))
-    u_of_part = {j: basis.vectors[pos] for pos, j in enumerate(part_order)}
-
-    assignment: list[int | None] = []
-    lifted: list[Vector] = []
-    grouping: list[int] = []
-    source_index: list[int] = []
-    for i, point in enumerate(cfg.points):
-        label = p.labels[i]
-        if label in u_of_part:
-            assignment.append(label)
-            lifted.append(lift_point(point, u_of_part[label]))
-            grouping.append(i)
-            source_index.append(i)
-        else:
-            assignment.append(None)
+    basis = companion_basis(p.r)
+    lifted = tuple(
+        lift_point(point, basis.vectors[label - 1])
+        for point, label in zip(cfg.points, p.labels)
+    )
     return LiftedChoice(
         source=cfg,
-        assignment=tuple(assignment),
-        lifted_points=tuple(lifted),
-        grouping=tuple(grouping),
-        source_index=tuple(source_index),
+        lifted_points=lifted,
+        source_index=tuple(range(len(cfg.points))),
         basis=basis,
-        part_order=part_order,
     )
 
 
@@ -126,20 +91,18 @@ def recover_common_point(
     p: Partition,
     removal: Collection[int],
     lifted_witness: ConvexWitness,
-    restrict_to: Collection[int] | None = None,
 ) -> tuple[Vector, dict[int, list[tuple[int, Fraction]]]]:
     """Common point of the parts' hulls after a removal, from a lifted witness.
 
     The witness must be convex coefficients for the origin over the lifted
-    points that survive the removal, indexed as in
-    ``lift_partition(cfg, p, restrict_to)``.  It is re-substituted exactly
-    before use; a removal that empties a part can carry no valid witness,
-    and any inconsistency raises ValueError.
+    points that survive the removal, indexed as in ``lift_partition(cfg, p)``.
+    It is re-substituted exactly before use; a removal that empties a part
+    can carry no valid witness, and any inconsistency raises ValueError.
 
-    Returns the common point together with, per participating part id, the
-    rescaled convex coefficients on surviving source points that realize it.
+    Returns the common point together with, per part id, the rescaled
+    convex coefficients on surviving source points that realize it.
     """
-    lift = lift_partition(cfg, p, restrict_to=restrict_to)
+    lift = lift_partition(cfg, p)
     removed = set(removal)
     weights = dict(lifted_witness.coefficients)
 
@@ -160,17 +123,16 @@ def recover_common_point(
 
     # Per part, the weighted sum of (a, 1); the companion kernel forces all
     # of these to agree, and the last coordinate is the part's weight mass.
-    sums: dict[int, list[Fraction]] = {
-        j: [_ZERO] * (cfg.dim + 1) for j in lift.part_order
-    }
+    part_ids = range(1, p.r + 1)
+    sums: dict[int, list[Fraction]] = {j: [_ZERO] * (cfg.dim + 1) for j in part_ids}
     for j, w in weights.items():
         src = lift.source_index[j]
         part = p.labels[src]
         b = tuple(cfg.points[src]) + (_ONE,)
         for t, x in enumerate(b):
             sums[part][t] += w * x
-    reference = sums[lift.part_order[0]]
-    for j in lift.part_order[1:]:
+    reference = sums[1]
+    for j in part_ids[1:]:
         if sums[j] != reference:
             raise ValueError(
                 "witness fails re-substitution: part sums disagree "
@@ -181,9 +143,7 @@ def recover_common_point(
         raise ValueError("witness fails re-substitution: zero part mass")
     point = tuple(x / mass for x in reference[: cfg.dim])
 
-    per_part: dict[int, list[tuple[int, Fraction]]] = {
-        j: [] for j in lift.part_order
-    }
+    per_part: dict[int, list[tuple[int, Fraction]]] = {j: [] for j in part_ids}
     for j, w in sorted(weights.items()):
         if w:
             per_part[p.labels[lift.source_index[j]]].append(

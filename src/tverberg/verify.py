@@ -1,17 +1,19 @@
 """Tolerance verification for labeled point configurations.
 
-Two independent routes are provided.  The lifted route computes the
-tolerance of a partition as the half-space depth of the origin in the
-companion-vector lift, minus one; its witness is the half-space
-certificate pulled back to source points (or color classes).  The
-exhaustive route tries every removal set of increasing size against
-the hull-intersection oracle and is the ground truth the lifted route
-is tested against.
+Two independent routes are provided, each written once.  The lifted
+route (``_lifted_report``) computes the tolerance of a partition as the
+half-space depth of the origin in the companion-vector lift, minus one;
+its witness is the half-space certificate pulled back to removal units.
+The exhaustive route (``_removal_scan``) tries every set of removal
+units of increasing size against the hull-intersection oracle and is
+the ground truth the lifted route is tested against.  A unit is a point,
+or a whole color class in the colored form; the k-of-r form is the plain
+tolerance of each k-part sub-partition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -78,12 +80,107 @@ def _require_partition(cfg: PointConfig, p: Partition, min_parts: int = 1) -> No
         raise ValueError(f"need at least {min_parts} parts")
 
 
-def _lifted_common_point(cfg: PointConfig, p: Partition, lifted_cfg: PointConfig):
-    witness = origin_in_hull(lifted_cfg)
-    if witness is None:
-        raise AssertionError("positive depth but origin not in lifted hull")
-    point, _ = recover_common_point(cfg, p, (), witness)
-    return point
+def _lifted_report(
+    cfg: PointConfig, p: Partition, colors: Optional[Sequence[int]] = None
+) -> ToleranceReport:
+    """The lifted route, as tolerance_by_lifted_depth describes it; with
+    ``colors`` (one id per point) the unit is a color class, and the lifted
+    points of a class form one block of a block-depth computation.
+    """
+    lift = lift_partition(cfg, p)
+    lifted_cfg = lift.config()
+    origin = (0,) * lifted_cfg.dim
+    if colors is None:
+        unit_of = lift.source_index
+        cert = depth(lifted_cfg, origin)
+    else:
+        unit_of = [colors[i] for i in lift.source_index]
+        blocks = [
+            [j for j, c in enumerate(unit_of) if c == color]
+            for color in sorted(set(colors))
+        ]
+        cert = block_depth(lifted_cfg, blocks, origin)
+    inside = [j for j, q in enumerate(lifted_cfg.points) if cert.witness.contains(q)]
+    removal = sorted({unit_of[j] for j in inside})
+    if len(removal) != cert.depth:
+        raise AssertionError("lifted witness does not match certified depth")
+    common = None
+    if cert.depth >= 1:
+        witness = origin_in_hull(lifted_cfg)
+        if witness is None:
+            raise AssertionError("positive depth but origin not in lifted hull")
+        common, _ = recover_common_point(cfg, p, (), witness)
+    return ToleranceReport(
+        tolerance=cert.depth - 1,
+        method=LIFTED,
+        unit="points" if colors is None else "classes",
+        witness_removal=tuple(removal),
+        common_point=common,
+        certificate=cert,
+    )
+
+
+def _removal_scan(
+    cfg: PointConfig,
+    parts: Sequence[Sequence[int]],
+    classes: Optional[Dict[int, List[int]]] = None,
+    t_cap: Optional[int] = None,
+    budget: Optional[int] = None,
+    spent: int = 0,
+    scan: str = "removal scan",
+) -> Tuple[ToleranceReport, int]:
+    """The exhaustive route, as tolerance_exhaustive describes it, over
+    units: points, or color classes when ``classes`` maps color ids to
+    their points.  The budget is charged on top of ``spent``; returns the
+    report and the new amount spent.
+    """
+    if budget is None:
+        budget = default_budget()
+    units = {i: [i] for i in range(len(cfg.points))} if classes is None else classes
+    # Removing every unit that meets a part empties it, so the scan
+    # breaks by the smallest such count.
+    owner = {i: u for u, members in units.items() for i in members}
+    cap = min(len({owner[i] for i in part}) for part in parts) - 1
+    if t_cap is not None:
+        if t_cap < 0:
+            raise ValueError("t_cap must be nonnegative")
+        cap = min(cap, t_cap)
+
+    common: Optional[Vector] = None
+    tolerance, witness = cap, None
+    for s in range(cap + 2):
+        level = comb(len(units), s)
+        if spent + level > budget:
+            raise BudgetExceeded(
+                required=spent + level,
+                budget=budget,
+                context=f"{scan} at size {s} needs {level} more hull queries",
+            )
+        spent += level
+        for removal in combinations(sorted(units), s):
+            gone = {i for u in removal for i in units[u]}
+            survivors = [[i for i in part if i not in gone] for part in parts]
+            result = hulls_intersect(cfg, survivors)
+            if result is None:
+                break
+            if s == 0:
+                common = result[0]
+        else:
+            continue
+        tolerance, witness = s - 1, removal
+        break
+    else:
+        if t_cap is None or cap != t_cap:
+            raise AssertionError("scan emptied a part without breaking")
+    report = ToleranceReport(
+        tolerance=tolerance,
+        method=EXHAUSTIVE,
+        unit="points" if classes is None else "classes",
+        witness_removal=witness,
+        common_point=common,
+        certificate=None,
+    )
+    return report, spent
 
 
 def tolerance_by_lifted_depth(cfg: PointConfig, p: Partition) -> ToleranceReport:
@@ -94,29 +191,7 @@ def tolerance_by_lifted_depth(cfg: PointConfig, p: Partition) -> ToleranceReport
     every common point of the part hulls.
     """
     _require_partition(cfg, p, min_parts=2)
-    lift = lift_partition(cfg, p)
-    lifted_cfg = lift.config()
-    cert = depth(lifted_cfg, (0,) * lifted_cfg.dim)
-    removal = sorted(
-        {
-            lift.source_index[j]
-            for j, q in enumerate(lifted_cfg.points)
-            if cert.witness.contains(q)
-        }
-    )
-    if len(removal) != cert.depth:
-        raise AssertionError("lifted witness does not match certified depth")
-    common = None
-    if cert.depth >= 1:
-        common = _lifted_common_point(cfg, p, lifted_cfg)
-    return ToleranceReport(
-        tolerance=cert.depth - 1,
-        method=LIFTED,
-        unit="points",
-        witness_removal=tuple(removal),
-        common_point=common,
-        certificate=cert,
-    )
+    return _lifted_report(cfg, p)
 
 
 def tolerance_exhaustive(
@@ -137,72 +212,7 @@ def tolerance_exhaustive(
     refuses up front (per size level) when the level would exceed it.
     """
     _require_partition(cfg, p)
-    if budget is None:
-        budget = default_budget()
-    n = len(cfg.points)
-    parts = p.parts()
-    cap = min(len(part) for part in parts) - 1
-    if t_cap is not None:
-        if t_cap < 0:
-            raise ValueError("t_cap must be nonnegative")
-        cap = min(cap, t_cap)
-    capped = t_cap is not None and cap == t_cap
-
-    spent = 0
-    common: Optional[Vector] = None
-    for s in range(cap + 2):
-        level = comb(n, s)
-        if spent + level > budget:
-            raise BudgetExceeded(
-                required=spent + level,
-                budget=budget,
-                context=f"removal scan at size {s} needs {level} more hull queries",
-            )
-        spent += level
-        for removal in combinations(range(n), s):
-            gone = set(removal)
-            survivors = [
-                [i for i in part if i not in gone] for part in parts
-            ]
-            result = hulls_intersect(cfg, survivors)
-            if result is None:
-                return ToleranceReport(
-                    tolerance=s - 1,
-                    method=EXHAUSTIVE,
-                    unit="points",
-                    witness_removal=removal,
-                    common_point=common,
-                    certificate=None,
-                )
-            if s == 0:
-                common = result[0]
-    if not capped:
-        raise AssertionError("scan passed the smallest part without breaking")
-    return ToleranceReport(
-        tolerance=cap,
-        method=EXHAUSTIVE,
-        unit="points",
-        witness_removal=None,
-        common_point=common,
-        certificate=None,
-    )
-
-
-def _color_classes_for_partition(
-    cfg: PointConfig, p: Partition
-) -> Dict[int, List[int]]:
-    if cfg.colors is None:
-        raise ValueError("configuration has no colors")
-    classes = cfg.color_classes()
-    for color, members in classes.items():
-        if len(members) != p.r:
-            raise ValueError(
-                f"color class {color} has {len(members)} points, expected {p.r}"
-            )
-        seen = {p.labels[i] for i in members}
-        if len(seen) != p.r:
-            raise ValueError(f"color class {color} is not spread over all parts")
-    return classes
+    return _removal_scan(cfg, p.parts(), t_cap=t_cap, budget=budget)[0]
 
 
 def colored_tolerance(
@@ -219,94 +229,25 @@ def colored_tolerance(
     hulls still intersect after deleting the points of any t classes.
     """
     _require_partition(cfg, p)
-    classes = _color_classes_for_partition(cfg, p)
-    colors = sorted(classes)
-
+    classes = cfg.color_classes()
+    for color, members in classes.items():
+        if len(members) != p.r:
+            raise ValueError(
+                f"color class {color} has {len(members)} points, expected {p.r}"
+            )
+        seen = {p.labels[i] for i in members}
+        if len(seen) != p.r:
+            raise ValueError(f"color class {color} is not spread over all parts")
     if method == LIFTED:
         if p.r < 2:
             raise ValueError("the lifted method needs at least two parts")
-        lift = lift_partition(cfg, p)
-        lifted_cfg = lift.config()
-        blocks = [
-            [
-                j
-                for j in range(len(lifted_cfg.points))
-                if cfg.colors[lift.source_index[j]] == color
-            ]
-            for color in colors
-        ]
-        cert = block_depth(lifted_cfg, blocks, (0,) * lifted_cfg.dim)
-        removal = sorted(
-            {
-                cfg.colors[lift.source_index[j]]
-                for j, q in enumerate(lifted_cfg.points)
-                if cert.witness.contains(q)
-            }
-        )
-        if len(removal) != cert.depth:
-            raise AssertionError("lifted witness does not match certified block depth")
-        common = None
-        if cert.depth >= 1:
-            common = _lifted_common_point(cfg, p, lifted_cfg)
-        return ToleranceReport(
-            tolerance=cert.depth - 1,
-            method=LIFTED,
-            unit="classes",
-            witness_removal=tuple(removal),
-            common_point=common,
-            certificate=cert,
-        )
-
+        return _lifted_report(cfg, p, colors=cfg.colors)
     if method != EXHAUSTIVE:
         raise ValueError(f"unknown method {method!r}")
-    if budget is None:
-        budget = default_budget()
-    cap = len(colors) - 1
-    if t_cap is not None:
-        if t_cap < 0:
-            raise ValueError("t_cap must be nonnegative")
-        cap = min(cap, t_cap)
-    capped = t_cap is not None and cap == t_cap
-
-    parts = p.parts()
-    spent = 0
-    common = None
-    for s in range(cap + 2):
-        level = comb(len(colors), s)
-        if spent + level > budget:
-            raise BudgetExceeded(
-                required=spent + level,
-                budget=budget,
-                context=f"class-removal scan at size {s} needs {level} more hull queries",
-            )
-        spent += level
-        for removed_colors in combinations(colors, s):
-            gone = {i for c in removed_colors for i in classes[c]}
-            survivors = [
-                [i for i in part if i not in gone] for part in parts
-            ]
-            result = hulls_intersect(cfg, survivors)
-            if result is None:
-                return ToleranceReport(
-                    tolerance=s - 1,
-                    method=EXHAUSTIVE,
-                    unit="classes",
-                    witness_removal=removed_colors,
-                    common_point=common,
-                    certificate=None,
-                )
-            if s == 0:
-                common = result[0]
-    if not capped:
-        raise AssertionError("scan removed every class without breaking")
-    return ToleranceReport(
-        tolerance=cap,
-        method=EXHAUSTIVE,
-        unit="classes",
-        witness_removal=None,
-        common_point=common,
-        certificate=None,
+    report, _ = _removal_scan(
+        cfg, p.parts(), classes, t_cap, budget, scan="class-removal scan"
     )
+    return report
 
 
 @dataclass(frozen=True)
@@ -339,8 +280,10 @@ def reay_tolerance(
     any removal of at most t points.
 
     Computed as the minimum of the plain tolerance over all C(r, k)
-    part subsets; removals for a subset range over the points of that
-    subset's parts only (removing other points cannot affect it).
+    part subsets, each taken on the sub-configuration of its parts'
+    points (removing other points cannot affect it) with the parts
+    relabelled 1..k in order; witnesses are mapped back to the original
+    indices.  The exhaustive scans share one LP budget.
     """
     _require_partition(cfg, p)
     if not 2 <= k <= p.r:
@@ -350,105 +293,25 @@ def reay_tolerance(
     if budget is None:
         budget = default_budget()
 
-    parts = p.parts()
     spent = 0
     results: List[Tuple[Tuple[int, ...], ToleranceReport]] = []
     for chosen in combinations(range(1, p.r + 1), k):
-        members = sorted(i for pid in chosen for i in parts[pid - 1])
-        if method == LIFTED:
-            report = _reay_tuple_lifted(cfg, p, chosen, members)
-        else:
-            report, spent = _reay_tuple_exhaustive(
-                cfg, p, chosen, members, budget, spent
+        members = [i for i, label in enumerate(p.labels) if label in chosen]
+        sub_cfg = PointConfig(cfg.dim, tuple(cfg.points[i] for i in members))
+        sub_p = Partition(k, tuple(chosen.index(p.labels[i]) + 1 for i in members))
+        if method == EXHAUSTIVE:
+            report, spent = _removal_scan(
+                sub_cfg,
+                sub_p.parts(),
+                budget=budget,
+                spent=spent,
+                scan=f"removal scan for parts {chosen}",
             )
-        results.append((chosen, report))
+        elif members:
+            report = _lifted_report(sub_cfg, sub_p)
+        else:  # nothing to lift: empty hulls never meet
+            report = ToleranceReport(-1, LIFTED, "points", (), None, None)
+        removal = tuple(members[j] for j in report.witness_removal)
+        results.append((chosen, replace(report, witness_removal=removal)))
     overall = min(report.tolerance for _, report in results)
     return ReayReport(tolerance=overall, k=k, tuples=tuple(results))
-
-
-def _reay_tuple_lifted(
-    cfg: PointConfig,
-    p: Partition,
-    chosen: Tuple[int, ...],
-    members: Sequence[int],
-) -> ToleranceReport:
-    if not members:
-        return ToleranceReport(
-            tolerance=-1,
-            method=LIFTED,
-            unit="points",
-            witness_removal=(),
-            common_point=None,
-            certificate=None,
-        )
-    lift = lift_partition(cfg, p, restrict_to=chosen)
-    lifted_cfg = lift.config()
-    cert = depth(lifted_cfg, (0,) * lifted_cfg.dim)
-    removal = sorted(
-        {
-            lift.source_index[j]
-            for j, q in enumerate(lifted_cfg.points)
-            if cert.witness.contains(q)
-        }
-    )
-    if len(removal) != cert.depth:
-        raise AssertionError("lifted witness does not match certified depth")
-    common = None
-    if cert.depth >= 1:
-        witness = origin_in_hull(lifted_cfg)
-        if witness is None:
-            raise AssertionError("positive depth but origin not in lifted hull")
-        point, _ = recover_common_point(cfg, p, (), witness, restrict_to=chosen)
-        common = point
-    return ToleranceReport(
-        tolerance=cert.depth - 1,
-        method=LIFTED,
-        unit="points",
-        witness_removal=tuple(removal),
-        common_point=common,
-        certificate=cert,
-    )
-
-
-def _reay_tuple_exhaustive(
-    cfg: PointConfig,
-    p: Partition,
-    chosen: Tuple[int, ...],
-    members: Sequence[int],
-    budget: int,
-    spent: int,
-) -> Tuple[ToleranceReport, int]:
-    parts = p.parts()
-    cap = min(len(parts[pid - 1]) for pid in chosen) - 1
-    common: Optional[Vector] = None
-    for s in range(cap + 2):
-        level = comb(len(members), s)
-        if spent + level > budget:
-            raise BudgetExceeded(
-                required=spent + level,
-                budget=budget,
-                context=(
-                    f"removal scan for parts {chosen} at size {s} "
-                    f"needs {level} more hull queries"
-                ),
-            )
-        spent += level
-        for removal in combinations(members, s):
-            gone = set(removal)
-            survivors = [
-                [i for i in parts[pid - 1] if i not in gone] for pid in chosen
-            ]
-            result = hulls_intersect(cfg, survivors)
-            if result is None:
-                report = ToleranceReport(
-                    tolerance=s - 1,
-                    method=EXHAUSTIVE,
-                    unit="points",
-                    witness_removal=removal,
-                    common_point=common,
-                    certificate=None,
-                )
-                return report, spent
-            if s == 0:
-                common = result[0]
-    raise AssertionError("scan passed the smallest chosen part without breaking")

@@ -158,6 +158,52 @@ def test_verify_lifted_rejects_t_cap(capsys, tmp_path):
     assert "t-cap" in err
 
 
+@pytest.fixture
+def rainbow_files(capsys, tmp_path):
+    """Three color classes of two points on the line, with a rainbow
+    two-part partition: valid input for every verify mode."""
+    cfg = tmp_path / "classes.json"
+    part = tmp_path / "rainbow.json"
+    code, _, _ = run_cli(
+        capsys,
+        "gen", "colored-classes", "--classes", "3", "--r", "2", "--dim", "1",
+        "--out", str(cfg),
+    )
+    assert code == 0
+    part.write_text(json.dumps({"r": 2, "labels": [1, 2, 1, 2, 1, 2]}))
+    return str(cfg), str(part)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--mode", "colored", "--t-cap", "0"],
+        ["--mode", "reay", "--k", "2", "--method", "exhaustive", "--t-cap", "0"],
+        ["--mode", "reay", "--k", "2", "--t-cap", "0"],
+        ["--mode", "plain", "--k", "2"],
+        ["--mode", "plain", "--method", "exhaustive", "--k", "2"],
+        ["--mode", "colored", "--k", "2"],
+        ["--mode", "colored", "--method", "exhaustive", "--k", "2"],
+    ],
+)
+def test_verify_rejects_options_it_would_ignore(capsys, rainbow_files, flags):
+    code, out, err = run_cli(capsys, "verify", *rainbow_files, *flags)
+    assert code == 2
+    assert out == ""
+    assert ("--t-cap" if "--t-cap" in flags else "--k") in err
+
+
+@pytest.mark.parametrize("mode", ["plain", "colored"])
+def test_verify_exhaustive_applies_t_cap(capsys, rainbow_files, mode):
+    record = run_json(
+        capsys,
+        "verify", *rainbow_files, "--mode", mode, "--method", "exhaustive",
+        "--t-cap", "0",
+    )
+    assert record["tolerance"] <= 0
+    assert record["manifest"]["parameters"]["t_cap"] == 0
+
+
 def test_verify_budget_exhaustion_exit_code(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     part = tmp_path / "p.json"

@@ -1,4 +1,4 @@
-"""Tensor lift: companion basis, layout, restriction, and recovery."""
+"""Tensor lift: companion basis, layout, and recovery."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -69,10 +69,7 @@ def test_lift_partition_plain_two_points():
     p = Partition(r=2, labels=(1, 2))
     lift = lift_partition(cfg, p)
     assert lift.lifted_points == ((F(1), F(1)), (F(1), F(-1)))
-    assert lift.assignment == (1, 2)
     assert lift.source_index == (0, 1)
-    assert lift.grouping == (0, 1)
-    assert lift.part_order == (1, 2)
     assert lift.config().dim == 2
 
 
@@ -82,27 +79,8 @@ def test_lift_partition_label_alignment_checked():
         lift_partition(cfg, Partition(r=2, labels=(1, 2, 1)))
 
 
-def test_lift_partition_restriction_skips_other_parts():
-    cfg = PointConfig(dim=1, points=tuple((F(v),) for v in (0, 1, 2, 3, 4, 5)))
-    p = Partition(r=3, labels=(1, 2, 3, 1, 2, 3))
-    lift = lift_partition(cfg, p, restrict_to=(3, 1))
-    assert lift.part_order == (1, 3)
-    assert lift.basis.r == 2
-    assert lift.source_index == (0, 2, 3, 5)
-    assert lift.assignment == (1, None, 3, 1, None, 3)
-    # Two chosen parts land in a (d+1)(2-1)-dimensional lift.
-    assert lift.config().dim == 2
-
-
-def test_lift_partition_restriction_must_name_real_parts():
-    cfg = PointConfig(dim=1, points=((F(1),), (F(-1),)))
-    p = Partition(r=2, labels=(1, 2))
-    with pytest.raises(ValueError):
-        lift_partition(cfg, p, restrict_to=(1, 5))
-
-
-def _lifted_witness(cfg, p, removal=(), restrict_to=None):
-    lift = lift_partition(cfg, p, restrict_to=restrict_to)
+def _lifted_witness(cfg, p, removal=()):
+    lift = lift_partition(cfg, p)
     survivors = [
         j for j, src in enumerate(lift.source_index) if src not in set(removal)
     ]
@@ -146,23 +124,6 @@ def test_recover_point_lies_in_every_surviving_part():
                 alive = [cfg.points[i] for i in members if i not in removal]
                 assert point_in_hull(point, alive)
                 assert sum(w for _, w in per_part[part_id]) == 1
-
-
-def test_recover_respects_restriction():
-    cfg = PointConfig(
-        dim=1, points=((F(0),), (F(2),), (F(-2),), (F(1),), (F(9),))
-    )
-    p = Partition(r=3, labels=(1, 2, 3, 3, 2))
-    chosen = (1, 3)
-    witness = _lifted_witness(cfg, p, restrict_to=chosen)
-    assert witness is not None
-    point, per_part = recover_common_point(
-        cfg, p, (), witness, restrict_to=chosen
-    )
-    assert set(per_part) == set(chosen)
-    for part_id in chosen:
-        alive = [cfg.points[i] for i in p.part(part_id)]
-        assert point_in_hull(point, alive)
 
 
 def test_recover_rejects_negative_weight():

@@ -1,9 +1,13 @@
 """Tolerance certification: lifted depth vs exhaustive oracle, reports."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tverberg.gen import line_points
 from tverberg.geometry import PointConfig
@@ -214,3 +218,68 @@ def test_report_json_shapes():
     reay = reay_tolerance(cfg, p, 2).to_json()
     assert reay["k"] == 2
     assert reay["tuples"][0]["parts"] == [1, 2]
+
+
+def _sub_partition(cfg, p, chosen):
+    """The chosen parts' points in index order, parts relabelled 1..k."""
+    members = [i for i, label in enumerate(p.labels) if label in chosen]
+    sub_cfg = PointConfig(dim=cfg.dim, points=tuple(cfg.points[i] for i in members))
+    sub_p = Partition(
+        r=len(chosen), labels=tuple(chosen.index(p.labels[i]) + 1 for i in members)
+    )
+    return members, sub_cfg, sub_p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reay_tuples_equal_plain_tolerance_of_sub_partitions(data):
+    dim = data.draw(st.integers(1, 2))
+    r = data.draw(st.integers(2, 3))
+    n = data.draw(st.integers(1, 8))
+    coord = st.integers(-4, 4).map(F)
+    points = data.draw(
+        st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n)
+    )
+    # Balanced labelings reach positive tolerance; free ones leave parts empty.
+    labels = data.draw(
+        st.permutations([i % r + 1 for i in range(n)])
+        | st.lists(st.integers(1, r), min_size=n, max_size=n)
+    )
+    k = data.draw(st.integers(2, r))
+    cfg = PointConfig(dim=dim, points=tuple(points))
+    p = Partition(r=r, labels=tuple(labels))
+    for method, plain in (
+        (LIFTED, tolerance_by_lifted_depth),
+        (EXHAUSTIVE, tolerance_exhaustive),
+    ):
+        for chosen, report in reay_tolerance(cfg, p, k, method=method).tuples:
+            members, sub_cfg, sub_p = _sub_partition(cfg, p, chosen)
+            if not members and method == LIFTED:
+                assert report.tolerance == -1
+                assert report.witness_removal == ()
+                assert report.certificate is None
+                continue
+            expected = plain(sub_cfg, sub_p)
+            expected = replace(
+                expected,
+                witness_removal=tuple(members[j] for j in expected.witness_removal),
+            )
+            assert report.to_json() == expected.to_json()
+
+
+def test_reay_exhaustive_budget_is_shared_across_tuples():
+    cfg = line_points(9)
+    p = Partition(r=3, labels=(1, 2, 3) * 3)
+    tuples = reay_tolerance(cfg, p, 2, method=EXHAUSTIVE).tuples
+    # LP calls each tuple's scan makes: every removal up to the breaking size.
+    needs = [
+        sum(comb(6, s) for s in range(report.tolerance + 2))
+        for _, report in tuples
+    ]
+    budget = max(needs)
+    for chosen, _ in tuples:
+        _, sub_cfg, sub_p = _sub_partition(cfg, p, chosen)
+        tolerance_exhaustive(sub_cfg, sub_p, budget=budget)
+    with pytest.raises(BudgetExceeded):
+        reay_tolerance(cfg, p, 2, method=EXHAUSTIVE, budget=budget)
+    reay_tolerance(cfg, p, 2, method=EXHAUSTIVE, budget=sum(needs))
