@@ -206,6 +206,7 @@ def _partition_params(args: argparse.Namespace) -> dict:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
+    _require(args.k is None or args.mode == "reay", "--k applies to reay mode only")
     cfg = load_config(args.input)
     n = len(cfg.points)
     if args.mode == "plain":
@@ -270,6 +271,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _require(
         args.t_cap is None or (args.mode != "reay" and method == EXHAUSTIVE),
         "--t-cap applies to the exhaustive method in plain or colored mode only",
+    )
+    _require(
+        args.budget is None or method == EXHAUSTIVE,
+        "--budget applies to the exhaustive method only",
     )
     _require(args.k is None or args.mode == "reay", "--k applies to reay mode only")
     cfg = load_config(args.input)

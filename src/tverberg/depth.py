@@ -252,8 +252,11 @@ def depth_oracle(cfg: PointConfig, c: Vector, budget: int | None = None) -> int:
     """Depth recomputed independently: the smallest number of points whose
     removal pulls c out of the convex hull of the rest.
 
-    Each candidate removal costs one LP feasibility call; the scan refuses
-    with BudgetExceeded rather than start a removal size it cannot finish.
+    A removal that misses the support of a hull witness found earlier
+    leaves c in the hull, so it is skipped without an LP; every other
+    removal costs one LP feasibility call.  The budget charges every
+    removal, skipped or not, and the scan refuses with BudgetExceeded
+    rather than start a removal size it cannot finish.
     """
     from .lp import origin_in_hull
 
@@ -266,15 +269,23 @@ def depth_oracle(cfg: PointConfig, c: Vector, budget: int | None = None) -> int:
     )
     n = len(cfg.points)
     spent = 0
+    everything = set(range(n))
+    bits = [1 << i for i in range(n)]
+    supports: list[int] = []  # bitmasks of the witnesses' nonzero weights
     for s in range(n + 1):
         cost = comb(n, s)
         if spent + cost > budget:
             raise BudgetExceeded(spent + cost, budget, "depth_oracle")
         spent += cost
-        everything = set(range(n))
-        for removal in combinations(range(n), s):
-            if origin_in_hull(shifted, everything - set(removal)) is None:
+        for removal, mask in zip(
+            combinations(range(n), s), map(sum, combinations(bits, s))
+        ):
+            if any(not mask & support for support in supports):
+                continue
+            witness = origin_in_hull(shifted, everything - set(removal))
+            if witness is None:
                 return s
+            supports.append(sum(bits[i] for i, w in witness.coefficients if w))
     raise AssertionError("removing every point always succeeds")
 
 

@@ -6,7 +6,9 @@ half-space depth of the origin in the companion-vector lift, minus one;
 its witness is the half-space certificate pulled back to removal units.
 The exhaustive route (``_removal_scan``) tries every set of removal
 units of increasing size against the hull-intersection oracle and is
-the ground truth the lifted route is tested against.  A unit is a point,
+the ground truth the lifted route is tested against; a set that misses
+the support of a common point it has already found is settled without
+a query, since that point survives the removal.  A unit is a point,
 or a whole color class in the colored form; the k-of-r form is the plain
 tolerance of each k-part sub-partition.
 """
@@ -137,14 +139,22 @@ def _removal_scan(
     if budget is None:
         budget = default_budget()
     units = {i: [i] for i in range(len(cfg.points))} if classes is None else classes
+    # Sets of units are bitmasks: bit b stands for the b-th unit in
+    # sorted order, and bit_of maps a point to its unit's bit.
+    ordered = sorted(units)
+    bits = [1 << b for b in range(len(ordered))]
+    bit_of = {i: bits[b] for b, u in enumerate(ordered) for i in units[u]}
     # Removing every unit that meets a part empties it, so the scan
     # breaks by the smallest such count.
-    owner = {i: u for u, members in units.items() for i in members}
-    cap = min(len({owner[i] for i in part}) for part in parts) - 1
+    cap = min(len({bit_of[i] for i in part}) for part in parts) - 1
     if t_cap is not None:
         if t_cap < 0:
             raise ValueError("t_cap must be nonnegative")
         cap = min(cap, t_cap)
+
+    # A removal that misses the support of a witness already found leaves
+    # that witness a common point, so it is skipped without an LP.
+    supports: List[int] = []
 
     common: Optional[Vector] = None
     tolerance, witness = cap, None
@@ -157,7 +167,11 @@ def _removal_scan(
                 context=f"{scan} at size {s} needs {level} more hull queries",
             )
         spent += level
-        for removal in combinations(sorted(units), s):
+        for removal, mask in zip(
+            combinations(ordered, s), map(sum, combinations(bits, s))
+        ):
+            if any(not mask & support for support in supports):
+                continue
             gone = {i for u in removal for i in units[u]}
             survivors = [[i for i in part if i not in gone] for part in parts]
             result = hulls_intersect(cfg, survivors)
@@ -165,6 +179,7 @@ def _removal_scan(
                 break
             if s == 0:
                 common = result[0]
+            supports.append(sum({bit_of[i] for i, w in result[1].coefficients if w}))
         else:
             continue
         tolerance, witness = s - 1, removal
@@ -208,8 +223,11 @@ def tolerance_exhaustive(
     so the result is exact; with t_cap the scan stops after size
     t_cap + 1 and may return t_cap with witness_removal None.
 
-    Every hull-intersection query counts against the budget; the scan
-    refuses up front (per size level) when the level would exceed it.
+    A removal set that misses the support (the points of nonzero weight)
+    of a common point found earlier in the scan leaves that point in
+    every hull, so it is skipped without a query.  The budget still
+    charges every removal set, skipped or not: the scan refuses up front
+    (per size level) when the level would exceed it.
     """
     _require_partition(cfg, p)
     return _removal_scan(cfg, p.parts(), t_cap=t_cap, budget=budget)[0]
@@ -290,7 +308,7 @@ def reay_tolerance(
         raise ValueError("k must lie in 2..r")
     if method not in (LIFTED, EXHAUSTIVE):
         raise ValueError(f"unknown method {method!r}")
-    if budget is None:
+    if method == EXHAUSTIVE and budget is None:
         budget = default_budget()
 
     spent = 0

@@ -8,15 +8,23 @@ solve, one-dimensional depth through direct counting.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
+
+from hypothesis import settings
 
 from tverberg.geometry import PointConfig
 from tverberg.linalg import solve_linear
 from tverberg.rng import SplitMix64
 
 Vec = Tuple[Fraction, ...]
+
+# CI keeps no example database between runs, so it draws examples
+# deterministically and prints the blob that reproduces a failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def brute_origin_in_hull(points: Sequence[Vec]) -> bool:

@@ -184,13 +184,39 @@ def rainbow_files(capsys, tmp_path):
         ["--mode", "plain", "--method", "exhaustive", "--k", "2"],
         ["--mode", "colored", "--k", "2"],
         ["--mode", "colored", "--method", "exhaustive", "--k", "2"],
+        ["--budget", "5"],
+        ["--mode", "colored", "--budget", "5"],
+        ["--mode", "reay", "--k", "2", "--budget", "5"],
     ],
 )
 def test_verify_rejects_options_it_would_ignore(capsys, rainbow_files, flags):
     code, out, err = run_cli(capsys, "verify", *rainbow_files, *flags)
     assert code == 2
     assert out == ""
-    assert ("--t-cap" if "--t-cap" in flags else "--k") in err
+    flag = next(f for f in ("--t-cap", "--budget", "--k") if f in flags)
+    assert flag in err
+
+
+def test_partition_rejects_k_outside_reay(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    assert run_cli(capsys, "gen", "line", "--n", "6", "--out", str(cfg))[0] == 0
+    code, out, err = run_cli(
+        capsys, "partition", str(cfg), "--r", "2", "--t", "1", "--k", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--k" in err
+
+
+def test_budget_variable_only_read_by_exhaustive_runs(capsys, monkeypatch, rainbow_files):
+    monkeypatch.setenv("TVERBERG_BUDGET", "x")
+    reay = ["--mode", "reay", "--k", "2"]
+    assert run_cli(capsys, "verify", *rainbow_files, *reay)[0] == 0
+    code, _, err = run_cli(
+        capsys, "verify", *rainbow_files, *reay, "--method", "exhaustive"
+    )
+    assert code == 2
+    assert "TVERBERG_BUDGET" in err
 
 
 @pytest.mark.parametrize("mode", ["plain", "colored"])

@@ -91,6 +91,15 @@ def test_depth_matches_oracle_small_sweep():
         assert depth(cfg, c).depth == depth_oracle(cfg, c)
 
 
+def test_depth_matches_oracle_at_fourteen_points():
+    # Depths 3..5; witness supports cut the oracle's LPs per center from
+    # 177..2,782 without pruning to 10..26.
+    for seed in range(6):
+        cfg = random_int_config(14, 2, 900 + seed, spread=9)
+        c = (F(seed % 3 - 1, 2), F(0))
+        assert depth(cfg, c).depth == depth_oracle(cfg, c)
+
+
 def test_block_depth_singleton_blocks_equal_depth():
     cfg = random_int_config(6, 2, 42)
     c = (F(0), F(0))

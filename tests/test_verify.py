@@ -9,14 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tverberg.gen import line_points
+from tverberg.engine import certified_partition
+from tverberg.gen import line_points, uniform_ball
 from tverberg.geometry import PointConfig
 from tverberg.limits import BudgetExceeded
 from tverberg.lp import hulls_intersect
 from tverberg.partition import Partition
+from tverberg import verify
 from tverberg.verify import (
     EXHAUSTIVE,
     LIFTED,
+    ReayReport,
+    ToleranceReport,
     colored_tolerance,
     reay_tolerance,
     tolerance_by_lifted_depth,
@@ -283,3 +287,135 @@ def test_reay_exhaustive_budget_is_shared_across_tuples():
     with pytest.raises(BudgetExceeded):
         reay_tolerance(cfg, p, 2, method=EXHAUSTIVE, budget=budget)
     reay_tolerance(cfg, p, 2, method=EXHAUSTIVE, budget=sum(needs))
+
+
+def _naive_scan(cfg, parts, classes, t_cap, budget, spent, scan):
+    """The exhaustive route with one hull query per removal set, no
+    pruning: the reference the pruned scan must match byte for byte."""
+    units = {i: [i] for i in range(len(cfg.points))} if classes is None else classes
+    owner = {i: u for u, members in units.items() for i in members}
+    cap = min(len({owner[i] for i in part}) for part in parts) - 1
+    if t_cap is not None:
+        cap = min(cap, t_cap)
+    common, tolerance, witness = None, cap, None
+    for s in range(cap + 2):
+        level = comb(len(units), s)
+        if spent + level > budget:
+            raise BudgetExceeded(
+                spent + level, budget, f"{scan} at size {s} needs {level} more hull queries"
+            )
+        spent += level
+        for removal in combinations(sorted(units), s):
+            gone = {i for u in removal for i in units[u]}
+            result = hulls_intersect(cfg, [[i for i in g if i not in gone] for g in parts])
+            if result is None:
+                tolerance, witness = s - 1, removal
+                break
+            if s == 0:
+                common = result[0]
+        else:
+            continue
+        break
+    unit = "points" if classes is None else "classes"
+    return ToleranceReport(tolerance, EXHAUSTIVE, unit, witness, common, None), spent
+
+
+def _naive_exhaustive(cfg, p, form, k, t_cap, budget):
+    if form == "plain":
+        return _naive_scan(cfg, p.parts(), None, t_cap, budget, 0, "removal scan")[0]
+    if form == "colored":
+        return _naive_scan(
+            cfg, p.parts(), cfg.color_classes(), t_cap, budget, 0, "class-removal scan"
+        )[0]
+    spent, tuples = 0, []
+    for chosen in combinations(range(1, p.r + 1), k):
+        members, sub_cfg, sub_p = _sub_partition(cfg, p, chosen)
+        report, spent = _naive_scan(
+            sub_cfg, sub_p.parts(), None, None, budget, spent,
+            f"removal scan for parts {chosen}",
+        )
+        removal = tuple(members[j] for j in report.witness_removal)
+        tuples.append((chosen, replace(report, witness_removal=removal)))
+    return ReayReport(min(rep.tolerance for _, rep in tuples), k, tuple(tuples))
+
+
+def _outcome(compute):
+    try:
+        return compute().to_json()
+    except BudgetExceeded as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pruned_scans_match_the_naive_scan(data):
+    form = data.draw(st.sampled_from(["plain", "colored", "reay"]))
+    dim = data.draw(st.integers(1, 2))
+    r = data.draw(st.integers(2, 3))
+    coord = st.integers(-5, 5).map(F)
+    if form == "colored":
+        # Rainbow: every class holds one point of each part.
+        classes = data.draw(st.integers(1, 9 // r))
+        n = classes * r
+        colors = tuple(i // r + 1 for i in range(n))
+        labels = [
+            label
+            for _ in range(classes)
+            for label in data.draw(st.permutations(range(1, r + 1)))
+        ]
+    else:
+        n = data.draw(st.integers(1, 9))
+        colors = None
+        labels = data.draw(
+            st.permutations([i % r + 1 for i in range(n)])
+            | st.lists(st.integers(1, r), min_size=n, max_size=n)
+        )
+    points = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+    cfg = PointConfig(dim=dim, points=tuple(points), colors=colors)
+    p = Partition(r=r, labels=tuple(labels))
+    k = data.draw(st.integers(2, r))
+    t_cap = None if form == "reay" else data.draw(st.none() | st.integers(0, 3))
+    budget = data.draw(st.none() | st.integers(1, 200))
+    if form == "plain":
+        pruned = lambda: tolerance_exhaustive(cfg, p, t_cap=t_cap, budget=budget)
+    elif form == "colored":
+        pruned = lambda: colored_tolerance(
+            cfg, p, method=EXHAUSTIVE, t_cap=t_cap, budget=budget
+        )
+    else:
+        pruned = lambda: reay_tolerance(cfg, p, k, method=EXHAUSTIVE, budget=budget)
+    naive = lambda: _naive_exhaustive(
+        cfg, p, form, k, t_cap, 10**6 if budget is None else budget
+    )
+    assert _outcome(pruned) == _outcome(naive)
+
+
+def test_readme_exhaustive_example_lp_count(monkeypatch):
+    # The README's 16-point walkthrough: the unpruned scan made 1,566
+    # hull queries here; witness supports cover all but 26 removal sets.
+    cfg = uniform_ball(16, 2, 1000, 7)
+    p, _ = certified_partition(cfg, 2, 3, 0)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return hulls_intersect(*args)
+
+    monkeypatch.setattr(verify, "hulls_intersect", counting)
+    report = tolerance_exhaustive(cfg, p)
+    assert report.tolerance == 3
+    assert len(calls) == 26
+
+
+def test_methods_agree_on_seeded_disc_instances():
+    # Certified partitions of 12..20 points in a disc, tolerance 1..4.
+    for seed in range(12):
+        r = 2 + seed % 2
+        n = (12, 14, 16, 18, 20, 13)[seed // 2] if r == 2 else 15 + seed // 2
+        cfg = uniform_ball(n, 2, 1000, seed)
+        found = certified_partition(cfg, r, (n - 1) // 3 - 2 if r == 2 else 1, seed, 16)
+        assert found is not None
+        p, lifted = found
+        exhaustive = tolerance_exhaustive(cfg, p)
+        assert exhaustive.tolerance == lifted.tolerance
+        assert hulls_intersect(cfg, _survivors(p, set(exhaustive.witness_removal))) is None
