@@ -18,10 +18,25 @@ lexicographic order, and each subset prefix shares one fraction-free
 the prefix and a linearly dependent prefix prunes its whole subtree.  A leaf
 reads two maximal minors off its reduced last row and recovers the rest of
 the kernel vector by exact back-substitution.  Each hyperplane is examined
-once, in both orientations, at its first spanning subset.  Points lying
-exactly on a candidate hyperplane are resolved by recursing on them: an
-infinitesimal tilt keeps every strictly-signed point on its side and
-re-plays the same minimization among the boundary points.  Realized
+once, in both orientations, at its first spanning subset, and a side that
+cannot beat the best value so far is pruned before anything else is done.
+
+At rank 3, which covers every d=2, r=2 lift and every 3-D query, the side
+counts come from an angular sweep (Rousseeuw & Ruts, AS 307, 1996).  The
+subsets are pairs, and the planes through the first point a of a pair form a
+pencil: projected exactly onto the quotient plane by a, the points are
+sorted once by exact integer angle, and two windows rotating with the plane
+give the number of new blocks strictly on each side of every plane of the
+pencil, so a pencil costs O(M log M) rather than M dot products for each of
+its up to M planes.  A plane gets dot products only when one of its sides
+survives the prune; they recount both sides exactly, and a disagreement
+raises AssertionError.  The sweep changes no candidate, order or tie-break:
+``candidate_count`` still counts every oriented hyperplane examined, pruned
+or not, recursion included.
+
+Points lying exactly on a candidate hyperplane are resolved by recursing on
+them: an infinitesimal tilt keeps every strictly-signed point on its side
+and re-plays the same minimization among the boundary points.  Realized
 witnesses are exact: a tilt by 1/K with integer K larger than any inner
 product cannot flip a strict sign, so nested tilts collapse to a single
 integer normal.
@@ -35,9 +50,10 @@ size stays within 2 * 2^(d-1) * C(M, d-1) for M points spanning dimension d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from operator import mul
 from typing import Sequence
 
@@ -110,14 +126,14 @@ def _canon(vec: IntVec) -> IntVec:
 
 
 def _distinct_normals(coords: Sequence[IntVec], k: int):
-    """One kernel vector per candidate hyperplane of the rank-k coordinates,
-    in the order its first spanning (k-1)-subset is enumerated."""
+    """(first spanning (k-1)-subset, kernel vector) per candidate hyperplane
+    of the rank-k coordinates, in the order those subsets are enumerated."""
     seen: set[IntVec] = set()
-    for _, z in hyperplane_normals(coords, k):
+    for subset, z in hyperplane_normals(coords, k):
         key = _canon(z)
         if key not in seen:
             seen.add(key)
-            yield z
+            yield subset, z
 
 
 def _lift_normal(z: IntVec, basis: Sequence[IntVec]) -> IntVec:
@@ -159,10 +175,28 @@ def _search(
             return val_pos, basis[0]
         return val_neg, tuple(-x for x in basis[0])
 
+    fresh: list[int | None] | None = None
+    if k == 3:
+        # Side counts come from a sweep of each pencil; dense label ids
+        # index its window counts, and None marks an already hit block.
+        dense: dict[int, int] = {}
+        fresh = [
+            None if labels[idx] in hit else dense.setdefault(labels[idx], len(dense))
+            for idx, _ in items
+        ]
+    pencil, sides = -1, []
     best_val: int | None = None
     best_normal: IntVec | None = None
-    for z in _distinct_normals(coords, k):
+    for subset, z in _distinct_normals(coords, k):
         counter[0] += 2
+        swept = None
+        if fresh is not None:
+            if subset[0] != pencil:
+                pencil = subset[0]
+                sides = _pencil_sides(coords, fresh, pencil)
+            swept = sides[subset[1]]  # (positive side, negative side)
+            if best_val is not None and min(swept) >= best_val:
+                continue  # both sides pruned, as their dot products would show
         dots = [sum(map(mul, z, cv)) for cv in coords]
         boundary = [items[i] for i, s in enumerate(dots) if s == 0]
         for sign in (1, -1):
@@ -171,6 +205,8 @@ def _search(
                 for (idx, _), s in zip(items, dots)
                 if s * sign > 0
             } - hit
+            if swept is not None and len(new) != swept[sign < 0]:
+                raise AssertionError("pencil sweep miscounted a side")
             if best_val is not None and len(new) >= best_val:
                 continue
             sub_val, sub_normal = _search(
@@ -187,6 +223,109 @@ def _search(
     if best_val is None:
         raise AssertionError("spanning set produced no candidate hyperplane")
     return best_val, best_normal
+
+
+def _clockwise(u: tuple[int, int], v: tuple[int, int]) -> int:
+    """Negative when v turns counterclockwise from u by less than a half
+    turn, positive when clockwise, 0 when parallel or antiparallel."""
+    return u[1] * v[0] - u[0] * v[1]
+
+
+_COUNTERCLOCKWISE = cmp_to_key(_clockwise)
+
+
+def _enter(count: list[int], groups: Sequence[list[int]]) -> int:
+    """Add the labels of the given rays to a window's label counts; return
+    how many of them were not in the window yet."""
+    gained = 0
+    for group in groups:
+        for label in group:
+            gained += not count[label]
+            count[label] += 1
+    return gained
+
+
+def _leave(count: list[int], groups: Sequence[list[int]]) -> int:
+    """Remove the labels of the given rays from a window's label counts;
+    return how many of them left the window entirely."""
+    lost = 0
+    for group in groups:
+        for label in group:
+            count[label] -= 1
+            lost += not count[label]
+    return lost
+
+
+def _pencil_sides(
+    coords: Sequence[IntVec], fresh: Sequence[int | None], pencil: int
+) -> list[tuple[int, int] | None]:
+    """Per item j, the number of new labels on the open positive and on the
+    open negative side of the plane with normal coords[pencil] x coords[j]
+    (None where that cross product vanishes); ``fresh`` holds each item's
+    label, or None when its block is already hit.
+
+    The planes through a = coords[pencil] form a pencil.  Eliminating a
+    nonzero coordinate c of a projects each w exactly onto the quotient
+    plane, to a[c] * w - w[c] * a without coordinate c; then
+    det(a, b, w) = a[c] * (-1)^c * cross(Pb, Pw), so after fixing that sign
+    by the order of the two kept coordinates, w lies on the positive side of
+    a x b exactly when Pw is counterclockwise of Pb within a half turn.
+    The projected directions are sorted once by exact angle, and two
+    windows rotating with the plane count the labels strictly on each side.
+    """
+    a = coords[pencil]
+    c = next(t for t in range(3) if a[t])
+    c1, c2 = (t for t in range(3) if t != c)
+    if (a[c] < 0) != (c == 1):
+        c1, c2 = c2, c1
+    ac, a1, a2 = a[c], a[c1], a[c2]
+    rays: dict[tuple[int, int], list[int]] = {}
+    ray_of: list[tuple[int, int] | None] = []
+    for w, label in zip(coords, fresh):
+        x = ac * w[c1] - w[c] * a1
+        y = ac * w[c2] - w[c] * a2
+        if not (x or y):
+            ray_of.append(None)
+            continue
+        g = gcd(x, y)
+        ray = (x // g, y // g)
+        ray_of.append(ray)
+        group = rays.setdefault(ray, [])
+        if label is not None:
+            group.append(label)
+    # Angle order from the positive x axis: the upper half-plane (with
+    # angle 0) first, then the lower one (with angle pi).
+    upper = [ray for ray in rays if ray[1] > 0 or (ray[1] == 0 and ray[0] > 0)]
+    lower = [ray for ray in rays if ray[1] < 0 or (ray[1] == 0 and ray[0] < 0)]
+    order = sorted(upper, key=_COUNTERCLOCKWISE) + sorted(lower, key=_COUNTERCLOCKWISE)
+    turns = len(order)
+    dirs = order + order
+    labs = [rays[ray] for ray in dirs]
+    # Two windows [lo, hi) of the doubled ray list, each with how often
+    # every label occurs in it and how many distinct labels that makes.
+    pos_count, neg_count = [0] * len(fresh), [0] * len(fresh)
+    pos_lo = pos_hi = pos_size = neg_lo = neg_hi = neg_size = 0
+    counts: dict[tuple[int, int], tuple[int, int]] = {}
+    for t, (x, y) in enumerate(order):
+        # Rays t+1 .. opposite-1 turn less than half a turn from ray t; the
+        # antipode of ray t, if present, sits at opposite.
+        opposite = max(pos_hi, t + 1)
+        end = t + turns
+        while opposite < end:
+            u, v = dirs[opposite]
+            if x * v - y * u <= 0:
+                break
+            opposite += 1
+        behind = opposite
+        if behind < end and x * dirs[behind][1] == y * dirs[behind][0]:
+            behind += 1  # the antipode lies on the plane
+        pos_size += _enter(pos_count, labs[pos_hi:opposite])
+        pos_size -= _leave(pos_count, labs[pos_lo:t + 1])
+        neg_size += _enter(neg_count, labs[neg_hi:end])
+        neg_size -= _leave(neg_count, labs[neg_lo:behind])
+        pos_lo, pos_hi, neg_lo, neg_hi = t + 1, opposite, behind, end
+        counts[order[t]] = (pos_size, neg_size)
+    return [None if ray is None else counts[ray] for ray in ray_of]
 
 
 def _blocks_to_labels(cfg: PointConfig, blocks: Sequence[Sequence[int]]) -> list[int]:
@@ -341,7 +480,7 @@ def _cell_normals(vecs: list[IntVec]) -> list[IntVec]:
     if k == 1:
         return [basis[0], tuple(-x for x in basis[0])]
     out: list[IntVec] = []
-    for z in _distinct_normals(coords, k):
+    for _, z in _distinct_normals(coords, k):
         dots = [_idot(z, cv) for cv in coords]
         boundary = [vecs[i] for i, s in enumerate(dots) if s == 0]
         strict = [vecs[i] for i, s in enumerate(dots) if s != 0]

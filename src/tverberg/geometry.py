@@ -20,6 +20,7 @@ from .linalg import (
     as_vector,
     clear_denominators,
     dot,
+    int_from_json,
     int_rank,
     scalar_from_str,
     scalar_to_str,
@@ -157,22 +158,25 @@ def config_to_json(cfg: PointConfig) -> dict:
 
 def config_from_json(data: dict) -> PointConfig:
     try:
-        dim = int(data["dimension"])
+        raw_dim = data["dimension"]
         raw_points = data["points"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed configuration JSON: {exc}") from exc
+    dim = int_from_json(raw_dim, "malformed configuration JSON: dimension")
     if not isinstance(raw_points, list) or not all(
         isinstance(row, list) for row in raw_points
     ):
         raise ValueError("malformed configuration JSON: points must be a list of lists")
+    if not raw_points:
+        raise ValueError("malformed configuration JSON: no points")
     points = tuple(tuple(scalar_from_str(x) for x in row) for row in raw_points)
     colors = data.get("colors")
-    if colors is not None and not isinstance(colors, list):
-        raise ValueError("malformed configuration JSON: colors must be a list")
-    try:
-        colors = tuple(int(c) for c in colors) if colors is not None else None
-    except TypeError as exc:
-        raise ValueError(f"malformed configuration JSON: {exc}") from exc
+    if colors is not None:
+        if not isinstance(colors, list):
+            raise ValueError("malformed configuration JSON: colors must be a list")
+        colors = tuple(
+            int_from_json(c, "malformed configuration JSON: a color") for c in colors
+        )
     return PointConfig(dim=dim, points=points, colors=colors)
 
 

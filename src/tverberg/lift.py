@@ -39,12 +39,10 @@ class CompanionBasis:
 
 @dataclass(frozen=True)
 class LiftedChoice:
-    """Lifted points of a partition; ``source_index[j]`` is the source
-    point behind lifted point j."""
+    """Lifted points of a partition; lifted point j lifts source point j."""
 
     source: PointConfig
     lifted_points: tuple[Vector, ...]
-    source_index: tuple[int, ...]
     basis: CompanionBasis
 
     def config(self) -> PointConfig:
@@ -78,12 +76,7 @@ def lift_partition(cfg: PointConfig, p: Partition) -> LiftedChoice:
         lift_point(point, basis.vectors[label - 1])
         for point, label in zip(cfg.points, p.labels)
     )
-    return LiftedChoice(
-        source=cfg,
-        lifted_points=lifted,
-        source_index=tuple(range(len(cfg.points))),
-        basis=basis,
-    )
+    return LiftedChoice(source=cfg, lifted_points=lifted, basis=basis)
 
 
 def recover_common_point(
@@ -113,7 +106,7 @@ def recover_common_point(
             raise ValueError(f"witness refers to unknown lifted point {j}")
         if w < 0:
             raise ValueError("witness fails re-substitution: negative weight")
-        if w and lift.source_index[j] in removed:
+        if w and j in removed:
             raise ValueError("witness puts weight on a removed point")
         total += w
         for t, x in enumerate(lift.lifted_points[j]):
@@ -126,9 +119,8 @@ def recover_common_point(
     part_ids = range(1, p.r + 1)
     sums: dict[int, list[Fraction]] = {j: [_ZERO] * (cfg.dim + 1) for j in part_ids}
     for j, w in weights.items():
-        src = lift.source_index[j]
-        part = p.labels[src]
-        b = tuple(cfg.points[src]) + (_ONE,)
+        part = p.labels[j]
+        b = tuple(cfg.points[j]) + (_ONE,)
         for t, x in enumerate(b):
             sums[part][t] += w * x
     reference = sums[1]
@@ -146,7 +138,5 @@ def recover_common_point(
     per_part: dict[int, list[tuple[int, Fraction]]] = {j: [] for j in part_ids}
     for j, w in sorted(weights.items()):
         if w:
-            per_part[p.labels[lift.source_index[j]]].append(
-                (lift.source_index[j], w / mass)
-            )
+            per_part[p.labels[j]].append((j, w / mass))
     return point, per_part

@@ -55,6 +55,14 @@ def scalar_from_str(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def int_from_json(value: object, what: str) -> int:
+    """A JSON integer as is; booleans and other numbers raise ValueError
+    rather than being truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def as_vector(entries: Iterable[int | str | Fraction]) -> Vector:
     vec = tuple(as_scalar(e) for e in entries)
     if not vec:

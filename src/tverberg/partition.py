@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .linalg import int_from_json
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -42,10 +44,13 @@ class Partition:
     @classmethod
     def from_json(cls, data: dict) -> "Partition":
         try:
-            r, raw_labels = int(data["r"]), data["labels"]
-            if not isinstance(raw_labels, list):
-                raise TypeError("labels must be a list")
-            labels = tuple(int(x) for x in raw_labels)
+            raw_r, raw_labels = data["r"], data["labels"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed partition JSON: {exc}") from exc
+        if not isinstance(raw_labels, list):
+            raise ValueError("malformed partition JSON: labels must be a list")
+        r = int_from_json(raw_r, "malformed partition JSON: r")
+        labels = tuple(
+            int_from_json(x, "malformed partition JSON: a label") for x in raw_labels
+        )
         return cls(r=r, labels=labels)

@@ -89,14 +89,13 @@ def _lifted_report(
     ``colors`` (one id per point) the unit is a color class, and the lifted
     points of a class form one block of a block-depth computation.
     """
-    lift = lift_partition(cfg, p)
-    lifted_cfg = lift.config()
+    lifted_cfg = lift_partition(cfg, p).config()
     origin = (0,) * lifted_cfg.dim
     if colors is None:
-        unit_of = lift.source_index
+        unit_of = range(len(cfg.points))
         cert = depth(lifted_cfg, origin)
     else:
-        unit_of = [colors[i] for i in lift.source_index]
+        unit_of = colors
         blocks = [
             [j for j, c in enumerate(unit_of) if c == color]
             for color in sorted(set(colors))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tverberg.cli import main
 
@@ -364,3 +366,120 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tolerance"] == 26
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [
+        {"r": 2, "labels": [1, 2.7, 1, 2, 1]},
+        {"r": True, "labels": [1, 1, 1, 1, 1]},
+        {"r": "2", "labels": [1, 2, 1, 2, 1]},
+    ],
+    ids=["float-label", "bool-r", "string-r"],
+)
+def test_partition_json_takes_only_integers(capsys, tmp_path, partition):
+    cfg = tmp_path / "cfg.json"
+    part = tmp_path / "p.json"
+    assert run_cli(capsys, "gen", "line", "--n", "5", "--out", str(cfg))[0] == 0
+    part.write_text(json.dumps(partition))
+    code, out, err = run_cli(
+        capsys, "verify", str(cfg), str(part), "--method", "exhaustive"
+    )
+    assert code == 2 and out == ""
+    assert "malformed partition JSON" in err and "must be an integer" in err
+
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"dimension": 2.0, "points": [["1", "2"]]},
+        {"dimension": float("inf"), "points": [["1"]]},
+        {"dimension": 10**18, "points": []},
+        {"dimension": 1, "points": [["1"], ["-1"]], "colors": [1, float("inf")]},
+    ],
+    ids=["float-dimension", "infinite-dimension", "huge-dimension-no-points", "infinite-color"],
+)
+def test_configuration_json_takes_only_integers_and_points(capsys, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "depth", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed configuration JSON")
+
+# Malformed-input fuzzing.  Each example is a point file and a partition
+# file that are well formed but for a few malformed parts, or that hold any
+# JSON or text at all.  Coordinate strings come from fixed lists, so no
+# decimal exponent asks for a huge exact power of ten, and part counts stay
+# small, since r parts allocate r - 1 companion vectors of length r - 1.
+_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 5),
+    st.floats(),
+    st.text(alphabet="0123456789/-.x ,;", max_size=4),
+)
+_good_coordinate = st.sampled_from(["1", "-2", "0", "1/2", "3/-4", "0.25", " 7 "])
+_bad_coordinate = st.one_of(_leaf, st.sampled_from(["1/0", "nan", "x", ""]))
+_any_json = st.one_of(
+    _leaf, st.lists(_leaf, max_size=2), st.dictionaries(st.text(max_size=3), _leaf, max_size=2)
+)
+
+
+@st.composite
+def _input_files(draw):
+    """(point file suffix, point file text, partition file text)."""
+
+    def mostly(good, bad):
+        return draw(bad) if draw(st.integers(0, 9)) == 0 else draw(good)
+
+    n, d, r = draw(st.integers(1, 5)), draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    rows = [
+        [mostly(_good_coordinate, _bad_coordinate) for _ in range(mostly(st.just(d), st.integers(0, 3)))]
+        for _ in range(n)
+    ]
+    style = draw(st.sampled_from(["json", "csv", "any"]))
+    if style == "json":
+        data = {"dimension": mostly(st.just(d), _leaf), "points": mostly(st.just(rows), _any_json)}
+        if draw(st.booleans()):
+            data["colors"] = mostly(st.lists(st.integers(1, 3), min_size=n, max_size=n), _any_json)
+        points = json.dumps(data)
+    elif style == "csv":
+        points = "\n".join(",".join(map(str, row)) for row in rows)
+    else:
+        points = draw(st.one_of(_any_json.map(json.dumps), st.text(max_size=20)))
+    labels = mostly(st.lists(st.integers(1, r), min_size=n, max_size=n), _any_json)
+    if isinstance(labels, list) and labels and draw(st.integers(0, 9)) == 0:
+        labels[draw(st.integers(0, len(labels) - 1))] = draw(_leaf)
+    partition = json.dumps({"r": mostly(st.just(r), _leaf), "labels": labels})
+    if draw(st.integers(0, 9)) == 0:
+        partition = draw(st.one_of(_any_json.map(json.dumps), st.text(max_size=10)))
+    suffix = ".csv" if style == "csv" else draw(st.sampled_from([".json", ".json", ".csv"]))
+    return suffix, points, partition
+
+
+_command = st.sampled_from([
+    ["depth", "{points}"],
+    ["depth", "{points}", "--blocks", "0;1,2"],
+    ["verify", "{points}", "{partition}"],
+    ["verify", "{points}", "{partition}", "--method", "exhaustive"],
+    ["verify", "{points}", "{partition}", "--mode", "colored"],
+    ["plot", "{points}", "--partition", "{partition}"],
+])
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command=_command, files=_input_files())
+def test_malformed_input_exits_cleanly(capsys, tmp_path, command, files):
+    suffix, points, partition = files
+    paths = {"points": tmp_path / f"points{suffix}", "partition": tmp_path / "part.json"}
+    paths["points"].write_text(points)
+    paths["partition"].write_text(partition)
+    argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in command]
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3, 4), (argv, err)
+    assert "Traceback" not in err

@@ -6,10 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tverberg.depth import block_depth, candidate_halfspaces, depth, depth_oracle
+from tverberg.depth import (
+    _combine,
+    _distinct_normals,
+    _idot,
+    _lift_normal,
+    _search,
+    block_depth,
+    candidate_halfspaces,
+    depth,
+    depth_oracle,
+)
+from tverberg.engine import random_partition
+from tverberg.gen import uniform_ball
 from tverberg.geometry import make_config, side_counts
 from tverberg.lift import lift_partition
 from tverberg.limits import BudgetExceeded
+from tverberg.linalg import row_basis
 from tverberg.partition import Partition
 
 from conftest import depth_1d, random_int_config
@@ -236,3 +249,101 @@ def test_lifted_r3_block_depth_pinned():
         -625580762639530884, 560209344, -113751537498641238,
         560208379, -1421736135664820412, -2801047723,
     ))
+
+
+def test_search_sized_lifted_depth_pinned():
+    # The d=2, r=2 search lifts 68 points to rank 3, where side counts come
+    # from the pencil sweep; these values were computed by the per-candidate
+    # loop, so they pin the first-minimum tie-break and the candidate count.
+    cfg = uniform_ball(68, 2, 1000, 7)
+    lifted = lift_partition(cfg, random_partition(68, 2, 0)).config()
+    cert = depth(lifted, (0, 0, 0))
+    assert cert.depth == 21
+    assert cert.candidate_count == 4590
+    assert cert.witness.normal == tuple(F(x) for x in (
+        6748227237919746087110925525,
+        3425778491806712610849644391,
+        853996502822372012754617631547,
+    ))
+    assert cert.witness.offset == 0
+
+
+def _naive_search(items, labels, hit, counter):
+    """The search with side counts taken from dot products at every
+    candidate, as it ran before the pencil sweep; the reference below."""
+    if not items:
+        return 0, None
+    basis = row_basis([w for _, w in items])
+    k = len(basis)
+    coords = [tuple(_idot(q, w) for q in basis) for _, w in items]
+    if k == 1:
+        counter[0] += 2
+        pos = {labels[i] for (i, _), cv in zip(items, coords) if cv[0] > 0}
+        neg = {labels[i] for (i, _), cv in zip(items, coords) if cv[0] < 0}
+        val_pos, val_neg = len(pos - hit), len(neg - hit)
+        if val_pos <= val_neg:
+            return val_pos, basis[0]
+        return val_neg, tuple(-x for x in basis[0])
+    best_val = best_normal = None
+    for _, z in _distinct_normals(coords, k):
+        counter[0] += 2
+        dots = [_idot(z, cv) for cv in coords]
+        boundary = [items[i] for i, s in enumerate(dots) if s == 0]
+        for sign in (1, -1):
+            new = {labels[idx] for (idx, _), s in zip(items, dots) if s * sign > 0} - hit
+            if best_val is not None and len(new) >= best_val:
+                continue
+            sub_val, sub_normal = _naive_search(boundary, labels, hit | new, counter)
+            value = len(new) + sub_val
+            if best_val is None or value < best_val:
+                best_val = value
+                top = _lift_normal(z if sign > 0 else tuple(-x for x in z), basis)
+                strict = [items[i][1] for i, s in enumerate(dots) if s != 0]
+                best_normal = _combine(top, sub_normal, strict)
+                if best_val == 0:
+                    return best_val, best_normal
+    return best_val, best_normal
+
+
+_small = st.integers(-3, 3)
+_vec3 = st.tuples(_small, _small, _small).filter(any)
+
+
+@st.composite
+def _tie_heavy_items(draw):
+    """Nonzero Z^3 vectors with repeated, antiparallel, scaled and coplanar
+    members, labelled as points or as blocks, and a nonempty hit set."""
+    vecs = draw(st.lists(_vec3, min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["repeat", "negate", "scale", "coplanar"]))
+        u = draw(st.sampled_from(vecs))
+        if kind == "repeat":
+            w = u
+        elif kind == "negate":
+            w = tuple(-x for x in u)
+        elif kind == "scale":
+            w = tuple(draw(st.sampled_from([-2, 2, 3])) * x for x in u)
+        else:
+            v = draw(st.sampled_from(vecs))
+            a, b = draw(st.sampled_from([1, -1, 2])), draw(st.sampled_from([1, -1, 2]))
+            w = tuple(a * x + b * y for x, y in zip(u, v))
+        if any(w):
+            vecs.append(w)
+    order = draw(st.permutations(range(len(vecs))))
+    vecs = [vecs[i] for i in order]
+    if draw(st.booleans()):
+        labels = list(range(len(vecs)))
+    else:
+        labels = draw(st.lists(st.integers(0, 3), min_size=len(vecs), max_size=len(vecs)))
+    hit = draw(st.frozensets(st.sampled_from(sorted(set(labels)) + [99]), min_size=1))
+    return list(enumerate(vecs)), labels, hit
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_items())
+def test_search_matches_per_candidate_reference(case):
+    items, labels, hit = case
+    counter, naive_counter = [0], [0]
+    got = _search(items, labels, hit, counter)
+    assert got == _naive_search(items, labels, hit, naive_counter)
+    assert counter == naive_counter

@@ -69,7 +69,6 @@ def test_lift_partition_plain_two_points():
     p = Partition(r=2, labels=(1, 2))
     lift = lift_partition(cfg, p)
     assert lift.lifted_points == ((F(1), F(1)), (F(1), F(-1)))
-    assert lift.source_index == (0, 1)
     assert lift.config().dim == 2
 
 
@@ -80,11 +79,8 @@ def test_lift_partition_label_alignment_checked():
 
 
 def _lifted_witness(cfg, p, removal=()):
-    lift = lift_partition(cfg, p)
-    survivors = [
-        j for j, src in enumerate(lift.source_index) if src not in set(removal)
-    ]
-    return origin_in_hull(lift.config(), survivors)
+    survivors = [j for j in range(len(cfg.points)) if j not in set(removal)]
+    return origin_in_hull(lift_partition(cfg, p).config(), survivors)
 
 
 def test_recover_symmetric_instance_balanced_witness_gives_origin():
