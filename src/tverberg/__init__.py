@@ -32,10 +32,8 @@ from .gen import colored_classes, grid_points, line_points, uniform_ball
 from .geometry import (
     HalfSpace,
     PointConfig,
-    affine_rank,
     config_from_json,
     config_to_json,
-    general_position_wrt_origin,
     load_config,
     load_csv,
     make_config,
@@ -78,7 +76,6 @@ __all__ = [
     "ReayReport",
     "SignAssignment",
     "ToleranceReport",
-    "affine_rank",
     "block_depth",
     "candidate_halfspaces",
     "carath_depth_bound",
@@ -98,7 +95,6 @@ __all__ = [
     "derangements",
     "fixed_point_probability",
     "forbidden_avoidance_count",
-    "general_position_wrt_origin",
     "grid_points",
     "hulls_intersect",
     "lift_partition",

@@ -52,13 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from fractions import Fraction
-from itertools import combinations
-from math import comb, gcd
+from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .geometry import HalfSpace, PointConfig, side_counts
-from .limits import BudgetExceeded, default_budget
+from .geometry import HalfSpace, PointConfig
 from .linalg import (
     Vector,
     clear_denominators,
@@ -391,41 +389,28 @@ def depth_oracle(cfg: PointConfig, c: Vector, budget: int | None = None) -> int:
     """Depth recomputed independently: the smallest number of points whose
     removal pulls c out of the convex hull of the rest.
 
+    This is the removal scan with c as one more, fixed part that no removal
+    unit meets: the hull of the points meets {c} exactly when it holds c.
     A removal that misses the support of a hull witness found earlier
     leaves c in the hull, so it is skipped without an LP; every other
     removal costs one LP feasibility call.  The budget charges every
     removal, skipped or not, and the scan refuses with BudgetExceeded
     rather than start a removal size it cannot finish.
     """
-    from .lp import origin_in_hull
+    from .verify import _removal_scan
 
-    if budget is None:
-        budget = default_budget()
     if len(c) != cfg.dim:
         raise ValueError("query point dimension does not match the configuration")
-    shifted = PointConfig(
-        dim=cfg.dim, points=tuple(vec_sub(p, c) for p in cfg.points)
-    )
     n = len(cfg.points)
-    spent = 0
-    everything = set(range(n))
-    bits = [1 << i for i in range(n)]
-    supports: list[int] = []  # bitmasks of the witnesses' nonzero weights
-    for s in range(n + 1):
-        cost = comb(n, s)
-        if spent + cost > budget:
-            raise BudgetExceeded(spent + cost, budget, "depth_oracle")
-        spent += cost
-        for removal, mask in zip(
-            combinations(range(n), s), map(sum, combinations(bits, s))
-        ):
-            if any(not mask & support for support in supports):
-                continue
-            witness = origin_in_hull(shifted, everything - set(removal))
-            if witness is None:
-                return s
-            supports.append(sum(bits[i] for i, w in witness.coefficients if w))
-    raise AssertionError("removing every point always succeeds")
+    origin = (Fraction(0),) * cfg.dim
+    shifted = PointConfig(
+        dim=cfg.dim, points=tuple(vec_sub(p, c) for p in cfg.points) + (origin,)
+    )
+    units = {i: [i] for i in range(n)}
+    report, _ = _removal_scan(
+        shifted, [range(n), [n]], units, budget=budget, scan="depth_oracle"
+    )
+    return report.tolerance + 1
 
 
 def candidate_halfspaces(cfg: PointConfig, c: Vector) -> list[HalfSpace]:

@@ -18,13 +18,10 @@ from typing import Iterable, Sequence
 from .linalg import (
     Vector,
     as_vector,
-    clear_denominators,
     dot,
     int_from_json,
-    int_rank,
     scalar_from_str,
     scalar_to_str,
-    vec_sub,
 )
 
 
@@ -107,43 +104,6 @@ def side_counts(cfg: PointConfig, h: HalfSpace) -> tuple[int, int, int]:
         else:
             outside += 1
     return inside, boundary, outside
-
-
-def affine_rank(cfg: PointConfig) -> int:
-    """Dimension of the affine span of the points (single point -> 0)."""
-    if not cfg.points:
-        return -1
-    base = cfg.points[0]
-    diffs = [clear_denominators(vec_sub(p, base)) for p in cfg.points[1:]]
-    return int_rank(diffs)
-
-
-def _affine_hull_contains_origin(points: Sequence[Vector], dim: int) -> bool:
-    # 0 in aff{x_1..x_k}  iff  x_1 lies in span{x_i - x_1}, i.e. adjoining
-    # x_1 to the difference set does not raise its rank.
-    base = points[0]
-    diffs = [clear_denominators(vec_sub(p, base)) for p in points[1:]]
-    return int_rank(diffs) == int_rank(diffs + [clear_denominators(base)])
-
-
-def general_position_wrt_origin(cfg: PointConfig) -> bool:
-    """True iff no d of the points span an affine hyperplane through 0.
-
-    Subsets that are affinely dependent span lower-dimensional flats and do
-    not count as hyperplanes.
-    """
-    from itertools import combinations
-
-    d = cfg.dim
-    for subset in combinations(range(len(cfg.points)), d):
-        pts = [cfg.points[i] for i in subset]
-        base = pts[0]
-        diffs = [clear_denominators(vec_sub(p, base)) for p in pts[1:]]
-        if int_rank(diffs) != d - 1:
-            continue  # not a hyperplane span
-        if _affine_hull_contains_origin(pts, d):
-            return False
-    return True
 
 
 def config_to_json(cfg: PointConfig) -> dict:

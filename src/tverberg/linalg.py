@@ -5,10 +5,11 @@ in lowest terms with a positive denominator, so equality and hashing behave
 canonically.  Vectors and matrices are plain tuples of Fractions; helpers
 below validate shapes on construction.
 
-Determinants and linear solves clear denominators first and then run
-fraction-free (Bareiss) elimination over the integers, which bounds the
-intermediate entry growth without per-step gcd normalization.  No floating
-point is used anywhere in this module.
+Linear solves clear denominators first and then run fraction-free
+(Bareiss) elimination over the integers, which bounds the intermediate
+entry growth without per-step gcd normalization; integer determinants and
+kernel vectors use the same elimination.  No floating point is used
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -44,11 +45,15 @@ def scalar_to_str(x: Fraction) -> str:
 def scalar_from_str(text: str) -> Fraction:
     """Parse "p/q" or an exact decimal string.
 
-    Raises ValueError for anything else, a non-string or a zero
-    denominator included, so malformed input reads as invalid input.
+    Raises ValueError for anything else, a non-string, a zero denominator
+    or a decimal exponent included, so malformed input reads as invalid
+    input.  Exponents are refused because "1e999999999" would build
+    10**999999999 exactly.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a number string, got {text!r}")
+    if "e" in text or "E" in text:
+        raise ValueError(f"decimal exponents are not accepted: {text!r}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
@@ -114,45 +119,6 @@ def primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-def _int_rows(mat: Matrix) -> list[list[int]]:
-    # Row scaling by positive integers multiplies det by the same factors,
-    # tracked by the callers below.
-    return [list(clear_denominators(row)) for row in mat]
-
-
-def det(mat: Matrix) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("determinant requires a square matrix")
-    scale = Fraction(1)
-    rows: list[list[int]] = []
-    for row in mat:
-        ints = clear_denominators(row)
-        factor = next((x / y for x, y in zip(ints, row) if y != 0), Fraction(1))
-        scale *= factor
-        rows.append(list(ints))
-
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            ri, rk = rows[i], rows[k]
-            lead = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pivot - lead * rk[j]) // prev
-            ri[k] = 0
-        prev = pivot
-    return Fraction(sign * rows[n - 1][n - 1]) / scale
-
-
 def solve_linear(mat: Matrix, rhs: Vector) -> Vector | None:
     """Solve ``mat @ x == rhs`` exactly; None when the matrix is singular."""
     n = len(mat)
@@ -216,10 +182,6 @@ def row_basis(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
         basis.append(list(primitive(pivot_row)))
         col += 1
     return [tuple(r) for r in basis]
-
-
-def int_rank(vectors: Sequence[Sequence[int]]) -> int:
-    return len(row_basis(vectors))
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geometry import PointConfig
-from .linalg import Vector, dot
+from .linalg import Vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -50,6 +50,11 @@ class Partition:
         if not isinstance(raw_labels, list):
             raise ValueError("malformed partition JSON: labels must be a list")
         r = int_from_json(raw_r, "malformed partition JSON: r")
+        if r > len(raw_labels):
+            # r parts lift to r - 1 companion vectors of length r - 1.
+            raise ValueError(
+                f"malformed partition JSON: r = {r} exceeds the number of labels"
+            )
         labels = tuple(
             int_from_json(x, "malformed partition JSON: a label") for x in raw_labels
         )

@@ -10,7 +10,8 @@ the ground truth the lifted route is tested against; a set that misses
 the support of a common point it has already found is settled without
 a query, since that point survives the removal.  A unit is a point,
 or a whole color class in the colored form; the k-of-r form is the plain
-tolerance of each k-part sub-partition.
+tolerance of each k-part sub-partition.  The same scan serves
+``depth.depth_oracle``: the query point is one more part, in no unit.
 """
 
 from __future__ import annotations
@@ -132,8 +133,9 @@ def _removal_scan(
 ) -> Tuple[ToleranceReport, int]:
     """The exhaustive route, as tolerance_exhaustive describes it, over
     units: points, or color classes when ``classes`` maps color ids to
-    their points.  The budget is charged on top of ``spent``; returns the
-    report and the new amount spent.
+    their points.  A point in no unit is never removed.  The budget is
+    charged on top of ``spent``; returns the report and the new amount
+    spent.
     """
     if budget is None:
         budget = default_budget()
@@ -144,8 +146,10 @@ def _removal_scan(
     bits = [1 << b for b in range(len(ordered))]
     bit_of = {i: bits[b] for b, u in enumerate(ordered) for i in units[u]}
     # Removing every unit that meets a part empties it, so the scan
-    # breaks by the smallest such count.
-    cap = min(len({bit_of[i] for i in part}) for part in parts) - 1
+    # breaks by the smallest such count; a part holding a point in no
+    # unit (depth_oracle's query point) is never emptied.
+    emptiable = [part for part in parts if all(i in bit_of for i in part)]
+    cap = min(len({bit_of[i] for i in part}) for part in emptiable) - 1
     if t_cap is not None:
         if t_cap < 0:
             raise ValueError("t_cap must be nonnegative")
@@ -178,7 +182,8 @@ def _removal_scan(
                 break
             if s == 0:
                 common = result[0]
-            supports.append(sum({bit_of[i] for i, w in result[1].coefficients if w}))
+            support = {bit_of.get(i, 0) for i, w in result[1].coefficients if w}
+            supports.append(sum(support))
         else:
             continue
         tolerance, witness = s - 1, removal

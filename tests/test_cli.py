@@ -389,6 +389,30 @@ def test_partition_json_takes_only_integers(capsys, tmp_path, partition):
     assert "malformed partition JSON" in err and "must be an integer" in err
 
 
+def test_partition_with_more_parts_than_labels_is_invalid(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    part = tmp_path / "p.json"
+    assert run_cli(capsys, "gen", "line", "--n", "5", "--out", str(cfg))[0] == 0
+    part.write_text(json.dumps({"r": 1000, "labels": [1, 2, 1, 2, 1]}))
+    code, out, err = run_cli(capsys, "verify", str(cfg), str(part))
+    assert code == 2 and out == ""
+    assert "r = 1000 exceeds the number of labels" in err
+
+
+def test_decimal_exponent_coordinate_is_invalid(tmp_path):
+    # Refused before Fraction builds 10**999999999, which takes hours; run
+    # in a subprocess so that a regression fails on the timeout, not hangs.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dimension": 1, "points": [["1e999999999"], ["2"]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tverberg.cli", "depth", str(cfg)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "decimal exponents are not accepted" in proc.stderr
+
 
 @pytest.mark.parametrize(
     "config",
@@ -409,9 +433,8 @@ def test_configuration_json_takes_only_integers_and_points(capsys, tmp_path, con
 
 # Malformed-input fuzzing.  Each example is a point file and a partition
 # file that are well formed but for a few malformed parts, or that hold any
-# JSON or text at all.  Coordinate strings come from fixed lists, so no
-# decimal exponent asks for a huge exact power of ten, and part counts stay
-# small, since r parts allocate r - 1 companion vectors of length r - 1.
+# JSON or text at all.  Decimal exponents and part counts above the number
+# of labels are among the malformed parts: both are refused up front.
 _leaf = st.one_of(
     st.none(),
     st.booleans(),
@@ -420,7 +443,7 @@ _leaf = st.one_of(
     st.text(alphabet="0123456789/-.x ,;", max_size=4),
 )
 _good_coordinate = st.sampled_from(["1", "-2", "0", "1/2", "3/-4", "0.25", " 7 "])
-_bad_coordinate = st.one_of(_leaf, st.sampled_from(["1/0", "nan", "x", ""]))
+_bad_coordinate = st.one_of(_leaf, st.sampled_from(["1/0", "nan", "x", "", "1e3"]))
 _any_json = st.one_of(
     _leaf, st.lists(_leaf, max_size=2), st.dictionaries(st.text(max_size=3), _leaf, max_size=2)
 )
@@ -451,7 +474,10 @@ def _input_files(draw):
     labels = mostly(st.lists(st.integers(1, r), min_size=n, max_size=n), _any_json)
     if isinstance(labels, list) and labels and draw(st.integers(0, 9)) == 0:
         labels[draw(st.integers(0, len(labels) - 1))] = draw(_leaf)
-    partition = json.dumps({"r": mostly(st.just(r), _leaf), "labels": labels})
+    huge_r = st.integers(10**3, 10**18)
+    partition = json.dumps(
+        {"r": mostly(st.just(r), st.one_of(_leaf, huge_r)), "labels": labels}
+    )
     if draw(st.integers(0, 9)) == 0:
         partition = draw(st.one_of(_any_json.map(json.dumps), st.text(max_size=10)))
     suffix = ".csv" if style == "csv" else draw(st.sampled_from([".json", ".json", ".csv"]))

@@ -19,7 +19,7 @@ from tverberg.depth import (
 )
 from tverberg.engine import random_partition
 from tverberg.gen import uniform_ball
-from tverberg.geometry import make_config, side_counts
+from tverberg.geometry import PointConfig, make_config, side_counts
 from tverberg.lift import lift_partition
 from tverberg.limits import BudgetExceeded
 from tverberg.linalg import row_basis
@@ -111,6 +111,21 @@ def test_depth_matches_oracle_at_fourteen_points():
         cfg = random_int_config(14, 2, 900 + seed, spread=9)
         c = (F(seed % 3 - 1, 2), F(0))
         assert depth(cfg, c).depth == depth_oracle(cfg, c)
+
+
+def test_oracle_matches_depth_at_points_midpoints_and_empty():
+    # The oracle scans removals of the points with c as a fixed part that
+    # no removal unit meets; a center on an input point, once or repeated,
+    # puts a removable unit at the origin next to it.
+    for d in (1, 2, 3):
+        assert depth_oracle(PointConfig(d, ()), (F(0),) * d) == 0
+        for seed in range(14):
+            cfg = random_int_config(1 + seed % 7, d, 4000 + 97 * d + seed, spread=3)
+            pts = cfg.points
+            repeated = PointConfig(d, pts + (pts[0],))
+            mid = tuple((a + b) / 2 for a, b in zip(pts[0], pts[-1]))
+            for case, c in ((cfg, pts[-1]), (repeated, pts[0]), (cfg, mid)):
+                assert depth_oracle(case, c) == depth(case, c).depth
 
 
 def test_block_depth_singleton_blocks_equal_depth():

@@ -2,16 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tverberg.geometry import (
     HalfSpace,
     PointConfig,
-    affine_rank,
     config_from_json,
     config_to_json,
-    general_position_wrt_origin,
     load_config,
     load_csv,
     make_config,
@@ -53,36 +49,6 @@ def test_side_counts_scale_invariant():
 def test_halfspace_zero_normal_rejected():
     with pytest.raises(ValueError):
         HalfSpace((F(0), F(0)), F(1))
-
-
-def test_affine_rank_examples():
-    assert affine_rank(make_config([(0, 0), (1, 1), (2, 2)])) == 1
-    assert affine_rank(make_config([(0, 0), (1, 0), (0, 1)])) == 2
-    assert affine_rank(make_config([(7, 3)])) == 0
-    # repeated points add nothing
-    assert affine_rank(make_config([(1, 2), (1, 2), (1, 2)])) == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=3).flatmap(
-        lambda d: st.lists(
-            st.lists(st.integers(-5, 5), min_size=d, max_size=d),
-            min_size=1,
-            max_size=6,
-        )
-    )
-)
-def test_affine_rank_bounds(points):
-    cfg = make_config(points)
-    assert 0 <= affine_rank(cfg) <= min(cfg.dim, len(points) - 1)
-
-
-def test_general_position_examples():
-    assert general_position_wrt_origin(make_config([(1, 0), (0, 1), (1, 1)]))
-    assert not general_position_wrt_origin(make_config([(1, 0), (-1, 0), (0, 1)]))
-    assert general_position_wrt_origin(make_config([(2,)]))
-    assert not general_position_wrt_origin(make_config([(0,)]))
 
 
 def test_config_validation():

@@ -9,10 +9,8 @@ from tverberg.linalg import (
     as_matrix,
     as_vector,
     clear_denominators,
-    det,
     dot,
     hyperplane_normals,
-    int_rank,
     kernel_vector,
     primitive,
     row_basis,
@@ -22,53 +20,6 @@ from tverberg.linalg import (
 )
 
 F = Fraction
-
-
-def test_det_identity():
-    assert det([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
-
-
-def test_det_permutation():
-    assert det([[0, 1], [1, 0]]) == -1
-
-
-def test_det_hand_value():
-    assert det([[2, 1], [1, 2]]) == 3
-
-
-def test_det_requires_square():
-    with pytest.raises(ValueError):
-        det([[1, 2, 3], [4, 5, 6]])
-
-
-def test_det_rational_entries():
-    assert det([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]]) == F(1, 10) - F(1, 12)
-
-
-def _cofactor_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = F(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _cofactor_det(minor)
-    return total
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-6, 6), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    )
-)
-def test_det_matches_cofactor_expansion(rows):
-    m = [[F(x) for x in row] for row in rows]
-    assert det(m) == _cofactor_det(m)
 
 
 def test_solve_identity():
@@ -106,7 +57,7 @@ def test_solve_satisfies_system_exactly(case):
     a = as_matrix(rows)
     x = solve_linear(a, b)
     if x is None:
-        assert det(a) == 0
+        assert len(row_basis(rows)) < len(rows)
     else:
         for row, rhs in zip(a, b):
             assert dot(row, x) == rhs
@@ -132,16 +83,16 @@ def test_primitive_divides_out_gcd():
 
 
 def test_int_rank():
-    assert int_rank([(1, 0), (0, 1)]) == 2
-    assert int_rank([(1, 2), (2, 4)]) == 1
-    assert int_rank([(0, 0)]) == 0
-    assert int_rank([]) == 0
+    assert len(row_basis([(1, 0), (0, 1)])) == 2
+    assert len(row_basis([(1, 2), (2, 4)])) == 1
+    assert len(row_basis([(0, 0)])) == 0
+    assert len(row_basis([])) == 0
 
 
 def test_row_basis_spans_same_space():
     rows = [(2, 4, 0), (1, 2, 0), (0, 0, 3)]
     basis = row_basis(rows)
-    assert int_rank(basis) == int_rank(rows) == 2
+    assert len(row_basis(basis)) == len(row_basis(rows)) == 2
 
 
 def test_kernel_vector_cross_product():
