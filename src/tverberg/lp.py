@@ -1,19 +1,23 @@
 """Exact LP feasibility for convex hull membership and hull intersection.
 
 Both queries reduce to: does a system  A x = b,  x >= 0  admit a solution?
-They are decided by a phase-one simplex over Fractions with Bland's pivoting
-rule, which cannot cycle, so termination is unconditional.  Every witness is
-re-substituted into its defining constraints before it is returned.
+They are decided by a phase-one simplex with Bland's pivoting rule, which
+cannot cycle, so termination is unconditional.  The tableau holds integer
+rows, each kept up to a positive scale and reduced by its gcd after every
+fraction-free pivot (Edmonds 1967, Bareiss 1968), so its pivots are exactly
+those of the same simplex over Fractions.  Every witness is re-substituted
+into its defining constraints in exact Fractions before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .geometry import PointConfig
-from .linalg import Vector
+from .linalg import Vector, clear_denominators
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -39,31 +43,29 @@ def _solve_feasibility(
 
     Phase-one simplex: artificial variables start basic, the objective is
     their sum, and Bland's rule (lowest eligible index enters, lowest-index
-    basic variable leaves on ties) guarantees finite termination.
+    basic variable leaves on ties) guarantees finite termination.  Rows are
+    integers, each a positive multiple of the row a Fraction tableau would
+    hold, so every sign test, ratio and pivot is that tableau's.
     """
     m = len(rhs)
     n = len(columns)
     # Tableau rows: [RHS | real columns | artificial columns], one per
-    # constraint, with rows flipped so every RHS entry is nonnegative.
-    rows: list[list[Fraction]] = []
+    # constraint, scaled by a positive c_i to integers and flipped so every
+    # RHS entry is nonnegative; row i's artificial column holds c_i.
+    rows: list[list[int]] = []
+    scales: list[int] = []
     for i in range(m):
-        flip = rhs[i] < 0
-        row = [-rhs[i] if flip else rhs[i]]
-        for j in range(n):
-            v = columns[j][i]
-            row.append(-v if flip else v)
-        for a in range(m):
-            row.append(_ONE if a == i else _ZERO)
-        rows.append(row)
+        *row, c = clear_denominators([rhs[i], *(col[i] for col in columns), _ONE])
+        if row[0] < 0:
+            row = [-v for v in row]
+        rows.append(row + [c if a == i else 0 for a in range(m)])
+        scales.append(c)
     basis = [n + i for i in range(m)]  # artificial j has tableau column 1+n+j
 
-    # Objective row for minimizing the artificial sum, expressed in reduced
-    # costs: z_row[j] = sum of artificial rows' column j (to be driven to 0).
-    width = 1 + n + m
-    z = [_ZERO] * width
-    for row in rows:
-        for j in range(width):
-            z[j] += row[j]
+    # Objective row for minimizing the artificial sum, in reduced costs: the
+    # sum of the rows divided by their c_i, times L = lcm(c_i) to stay integral.
+    big = lcm(*scales)
+    z = [sum(big // c * v for c, v in zip(scales, col)) for col in zip(*rows)]
 
     while True:
         enter = next(
@@ -73,53 +75,40 @@ def _solve_feasibility(
         if enter is None:
             break
         col = 1 + enter
-        ratio_best: Fraction | None = None
+        # Ratio test on row[0] / row[col], compared by cross-multiplication.
         leave_row = -1
         for i, row in enumerate(rows):
-            a = row[col]
-            if a > 0:
-                ratio = row[0] / a
-                if (
-                    ratio_best is None
-                    or ratio < ratio_best
-                    or (ratio == ratio_best and basis[i] < basis[leave_row])
-                ):
-                    ratio_best = ratio
-                    leave_row = i
+            if row[col] > 0 and (
+                leave_row < 0
+                or (diff := row[0] * best[col] - best[0] * row[col]) < 0
+                or (diff == 0 and basis[i] < basis[leave_row])
+            ):
+                leave_row, best = i, row
         if leave_row < 0:
             raise AssertionError("phase-one objective is bounded by zero")
-        _pivot(rows, z, leave_row, col)
+        rows = [row if row is best else _eliminate(row, best, col) for row in rows]
+        z = _eliminate(z, best, col)
         basis[leave_row] = enter
 
-    objective = sum((rows[i][0] for i in range(m) if basis[i] >= n), _ZERO)
-    if objective != 0:
+    if any(row[0] for row, b in zip(rows, basis) if b >= n):
         return None
     x = [_ZERO] * n
-    for i, b in enumerate(basis):
+    for row, b in zip(rows, basis):
         if b < n:
-            x[b] = rows[i][0]
+            x[b] = Fraction(row[0], row[1 + b])
     return x
 
 
-def _pivot(rows: list[list[Fraction]], z: list[Fraction], pr: int, pc: int) -> None:
-    prow = rows[pr]
-    pivot = prow[pc]
-    if pivot != 1:
-        inv = _ONE / pivot
-        rows[pr] = prow = [v * inv for v in prow]
-    for target in rows:
-        if target is prow:
-            continue
-        factor = target[pc]
-        if factor != 0:
-            for j, pv in enumerate(prow):
-                if pv != 0:
-                    target[j] -= factor * pv
-    factor = z[pc]
-    if factor != 0:
-        for j, pv in enumerate(prow):
-            if pv != 0:
-                z[j] -= factor * pv
+def _eliminate(target: list[int], prow: list[int], col: int) -> list[int]:
+    """prow[col] * target - target[col] * prow over its gcd: since the pivot
+    prow[col] is positive, a positive multiple of the Fraction pivot's row."""
+    f = target[col]
+    if f == 0:
+        return target
+    p = prow[col]
+    row = [p * a - f * b for a, b in zip(target, prow)]
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def origin_in_hull(
@@ -157,9 +146,10 @@ def _check_origin_witness(cfg: PointConfig, witness: ConvexWitness) -> None:
     for i, w in witness.coefficients:
         if w < 0:
             raise AssertionError("negative convex coefficient")
-        total += w
-        for k in range(cfg.dim):
-            acc[k] += w * cfg.points[i][k]
+        if w:  # a zero weight adds exactly nothing
+            total += w
+            for k in range(cfg.dim):
+                acc[k] += w * cfg.points[i][k]
     if total != 1 or any(v != 0 for v in acc):
         raise AssertionError("witness fails exact re-substitution")
 
@@ -222,7 +212,7 @@ def hulls_intersect(
         groups=tuple((gpos + 1, tuple(g)) for gpos, g in enumerate(groups)),
     )
     point = tuple(
-        sum((weights[i] * cfg.points[i][k] for i in groups[0]), _ZERO)
+        sum((weights[i] * cfg.points[i][k] for i in groups[0] if weights[i]), _ZERO)
         for k in range(d)
     )
     _check_hulls_witness(cfg, groups, witness, point)
@@ -243,8 +233,9 @@ def _check_hulls_witness(
             w = weights[i]
             if w < 0:
                 raise AssertionError("negative convex coefficient")
-            total += w
-            for k in range(cfg.dim):
-                acc[k] += w * cfg.points[i][k]
+            if w:  # a zero weight adds exactly nothing
+                total += w
+                for k in range(cfg.dim):
+                    acc[k] += w * cfg.points[i][k]
         if total != 1 or tuple(acc) != tuple(point):
             raise AssertionError("witness fails exact re-substitution")

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tverberg.engine import random_partition
+from tverberg.gen import uniform_ball
 from tverberg.geometry import make_config
-from tverberg.lp import hulls_intersect, origin_in_hull
+from tverberg.lp import _solve_feasibility, hulls_intersect, origin_in_hull
 
 from conftest import brute_origin_in_hull, point_in_hull, random_int_config
 
@@ -117,3 +119,152 @@ def test_hulls_intersect_agrees_with_brute_force_on_pairs(seed):
         for j in parts[1]
     ]
     assert (result is not None) == brute_origin_in_hull(diffs)
+
+
+def test_search_sized_hulls_witness_pinned():
+    # The two hulls of the n=68 calibration search; the common point and
+    # coefficients were computed by the Fraction tableau, so they pin the
+    # pivot sequence at a realistic size.
+    cfg = uniform_ball(68, 2, 1000, 7)
+    result = hulls_intersect(cfg, random_partition(68, 2, 0).parts())
+    assert result is not None
+    point, witness = result
+    assert point == (F(542), F(650))
+    nonzero = {0: F(1), 7: F(105961, 163966), 11: F(19611, 163966), 40: F(19197, 81983)}
+    assert witness.coefficients == tuple(
+        (i, nonzero.get(i, F(0))) for i in range(68)
+    )
+
+
+_ZERO = F(0)
+_ONE = F(1)
+
+
+def _fraction_solve_feasibility(columns, rhs):
+    """The phase-one simplex over a Fraction tableau, as it ran before the
+    integer rows; the reference below."""
+    m = len(rhs)
+    n = len(columns)
+    # Tableau rows: [RHS | real columns | artificial columns], one per
+    # constraint, with rows flipped so every RHS entry is nonnegative.
+    rows: list[list[Fraction]] = []
+    for i in range(m):
+        flip = rhs[i] < 0
+        row = [-rhs[i] if flip else rhs[i]]
+        for j in range(n):
+            v = columns[j][i]
+            row.append(-v if flip else v)
+        for a in range(m):
+            row.append(_ONE if a == i else _ZERO)
+        rows.append(row)
+    basis = [n + i for i in range(m)]  # artificial j has tableau column 1+n+j
+
+    # Objective row for minimizing the artificial sum, expressed in reduced
+    # costs: z_row[j] = sum of artificial rows' column j (to be driven to 0).
+    width = 1 + n + m
+    z = [_ZERO] * width
+    for row in rows:
+        for j in range(width):
+            z[j] += row[j]
+
+    while True:
+        enter = next(
+            (j for j in range(n + m) if z[1 + j] > 0 and j not in basis),
+            None,
+        )
+        if enter is None:
+            break
+        col = 1 + enter
+        ratio_best: Fraction | None = None
+        leave_row = -1
+        for i, row in enumerate(rows):
+            a = row[col]
+            if a > 0:
+                ratio = row[0] / a
+                if (
+                    ratio_best is None
+                    or ratio < ratio_best
+                    or (ratio == ratio_best and basis[i] < basis[leave_row])
+                ):
+                    ratio_best = ratio
+                    leave_row = i
+        if leave_row < 0:
+            raise AssertionError("phase-one objective is bounded by zero")
+        _fraction_pivot(rows, z, leave_row, col)
+        basis[leave_row] = enter
+
+    objective = sum((rows[i][0] for i in range(m) if basis[i] >= n), _ZERO)
+    if objective != 0:
+        return None
+    x = [_ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = rows[i][0]
+    return x
+
+
+def _fraction_pivot(rows, z, pr, pc):
+    prow = rows[pr]
+    pivot = prow[pc]
+    if pivot != 1:
+        inv = _ONE / pivot
+        rows[pr] = prow = [v * inv for v in prow]
+    for target in rows:
+        if target is prow:
+            continue
+        factor = target[pc]
+        if factor != 0:
+            for j, pv in enumerate(prow):
+                if pv != 0:
+                    target[j] -= factor * pv
+    factor = z[pc]
+    if factor != 0:
+        for j, pv in enumerate(prow):
+            if pv != 0:
+                z[j] -= factor * pv
+
+
+_entry = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(2)]),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 6)),
+)
+
+
+@st.composite
+def _tie_heavy_systems(draw):
+    """Systems of m <= 7 rows and n <= 12 columns with repeated and scaled
+    columns, zero and negative right-hand sides, and denominators up to 6;
+    half of the right-hand sides are nonnegative combinations of columns, so
+    that feasible, degenerate systems are common."""
+    m = draw(st.integers(1, 7))
+    columns: list[list[Fraction]] = []
+    for _ in range(draw(st.integers(0, 12))):
+        if columns and draw(st.booleans()):
+            k = draw(st.sampled_from([F(1), F(2), F(1, 2), F(-1), F(3, 2)]))
+            columns.append([k * v for v in draw(st.sampled_from(columns))])
+        else:
+            columns.append(draw(st.lists(_entry, min_size=m, max_size=m)))
+    if columns and draw(st.booleans()):
+        weights = draw(st.lists(
+            st.sampled_from([F(0), F(0), F(1), F(1, 2), F(2)]),
+            min_size=len(columns), max_size=len(columns),
+        ))
+        rhs = [sum((w * c[i] for w, c in zip(weights, columns)), F(0))
+               for i in range(m)]
+    else:
+        rhs = draw(st.lists(st.one_of(st.just(F(0)), _entry), min_size=m, max_size=m))
+    return columns, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tie_heavy_systems())
+# Degenerate ties in the ratio test: two rows at ratio 0 on the first pivot,
+# and a later tie where the lower basic index sits in the higher row.
+@example(([[F(1), F(1)], [F(1), F(0)]], [F(0), F(0)]))
+@example((
+    [[F(-1), F(2), F(1)], [F(-1), F(1), F(1)], [F(1), F(1), F(0)], [F(0), F(-1), F(0)]],
+    [F(1), F(1), F(2)],
+))
+def test_integer_simplex_matches_fraction_tableau(system):
+    columns, rhs = system
+    assert _solve_feasibility(columns, rhs) == _fraction_solve_feasibility(columns, rhs)
