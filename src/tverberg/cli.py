@@ -16,6 +16,7 @@ certified partition within the trial limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -46,7 +47,7 @@ from .engine import (
 )
 from .geometry import config_to_json, load_config, save_config
 from .limits import BUDGET_ENV_VAR, BudgetExceeded
-from .linalg import as_vector
+from .linalg import as_vector, int_from_json
 from .partition import Partition
 from .plot import render_svg
 from .verify import (
@@ -347,14 +348,23 @@ def cmd_plot(args: argparse.Namespace) -> int:
     removal: Optional[List[int]] = None
     if args.report:
         report = json.loads(Path(args.report).read_text())
+        _require(isinstance(report, dict), "malformed report JSON: expected an object")
         witness = report.get("witness_removal")
         if witness is not None:
+            _require(
+                isinstance(witness, list),
+                "malformed report JSON: witness_removal must be a list",
+            )
+            units = [
+                int_from_json(i, "malformed report JSON: a witness_removal entry")
+                for i in witness
+            ]
             if report.get("unit") == "classes":
                 _require(cfg.colors is not None, "class removal needs a colored input")
-                wanted = set(witness)
+                wanted = set(units)
                 removal = [i for i, c in enumerate(cfg.colors) if c in wanted]
             else:
-                removal = [int(i) for i in witness]
+                removal = units
     svg = render_svg(cfg, partition=partition, removal=removal)
     if args.out:
         Path(args.out).write_text(svg)
@@ -363,7 +373,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser; built on first use and shared, since parsing
+    leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="tverberg",
         description="Tolerant Tverberg partitions: bounds, search, certificates.",

@@ -69,14 +69,18 @@ def lift_point(a: Vector, u: Vector) -> Vector:
 
 def lift_partition(cfg: PointConfig, p: Partition) -> LiftedChoice:
     """Lift every point onto the companion vector of its part."""
-    if len(p.labels) != len(cfg.points):
-        raise ValueError("partition labels must align with the points")
-    basis = companion_basis(p.r)
+    basis = _basis_for(cfg, p)
     lifted = tuple(
         lift_point(point, basis.vectors[label - 1])
         for point, label in zip(cfg.points, p.labels)
     )
     return LiftedChoice(source=cfg, lifted_points=lifted, basis=basis)
+
+
+def _basis_for(cfg: PointConfig, p: Partition) -> CompanionBasis:
+    if len(p.labels) != len(cfg.points):
+        raise ValueError("partition labels must align with the points")
+    return companion_basis(p.r)
 
 
 def recover_common_point(
@@ -89,50 +93,39 @@ def recover_common_point(
 
     The witness must be convex coefficients for the origin over the lifted
     points that survive the removal, indexed as in ``lift_partition(cfg, p)``.
-    It is re-substituted exactly before use; a removal that empties a part
-    can carry no valid witness, and any inconsistency raises ValueError.
+    It is re-substituted exactly in source space, without lifting: the
+    weights place the origin in the lifted hull exactly when they are
+    nonnegative, sum to one and give every part the same weighted sum of
+    (a, 1), since the companion vectors' only dependence is the all-equal
+    one.  A removal that empties a part can carry no valid witness, and any
+    inconsistency raises ValueError.
 
     Returns the common point together with, per part id, the rescaled
     convex coefficients on surviving source points that realize it.
     """
-    lift = lift_partition(cfg, p)
+    _basis_for(cfg, p)  # the lift's own input checks
     removed = set(removal)
     weights = dict(lifted_witness.coefficients)
 
-    total = _ZERO
-    acc = [_ZERO] * ((cfg.dim + 1) * (lift.basis.r - 1))
+    # Per part, the weighted sum of (a, 1); its last coordinate is the
+    # part's weight mass.
+    part_ids = range(1, p.r + 1)
+    sums: dict[int, list[Fraction]] = {j: [_ZERO] * (cfg.dim + 1) for j in part_ids}
     for j, w in weights.items():
-        if not 0 <= j < len(lift.lifted_points):
+        if not 0 <= j < len(cfg.points):
             raise ValueError(f"witness refers to unknown lifted point {j}")
         if w < 0:
             raise ValueError("witness fails re-substitution: negative weight")
         if w and j in removed:
             raise ValueError("witness puts weight on a removed point")
-        total += w
-        for t, x in enumerate(lift.lifted_points[j]):
-            acc[t] += w * x
-    if total != 1 or any(v != 0 for v in acc):
-        raise ValueError("witness fails re-substitution")
-
-    # Per part, the weighted sum of (a, 1); the companion kernel forces all
-    # of these to agree, and the last coordinate is the part's weight mass.
-    part_ids = range(1, p.r + 1)
-    sums: dict[int, list[Fraction]] = {j: [_ZERO] * (cfg.dim + 1) for j in part_ids}
-    for j, w in weights.items():
-        part = p.labels[j]
-        b = tuple(cfg.points[j]) + (_ONE,)
-        for t, x in enumerate(b):
-            sums[part][t] += w * x
+        part = sums[p.labels[j]]
+        for t, x in enumerate((*cfg.points[j], _ONE)):
+            part[t] += w * x
     reference = sums[1]
-    for j in part_ids[1:]:
-        if sums[j] != reference:
-            raise ValueError(
-                "witness fails re-substitution: part sums disagree "
-                "(a removal emptied some part, or the weights are invalid)"
-            )
     mass = reference[cfg.dim]
-    if mass <= 0:
-        raise ValueError("witness fails re-substitution: zero part mass")
+    # Equal part sums, and a total weight of one: r equal masses of 1/r.
+    if any(sums[j] != reference for j in part_ids) or mass * p.r != 1:
+        raise ValueError("witness fails re-substitution")
     point = tuple(x / mass for x in reference[: cfg.dim])
 
     per_part: dict[int, list[tuple[int, Fraction]]] = {j: [] for j in part_ids}

@@ -1,12 +1,16 @@
-"""Exact LP feasibility for convex hull membership and hull intersection.
+"""Exact LP feasibility for convex hull intersection and hull membership.
 
-Both queries reduce to: does a system  A x = b,  x >= 0  admit a solution?
-They are decided by a phase-one simplex with Bland's pivoting rule, which
-cannot cycle, so termination is unconditional.  The tableau holds integer
+There is one system: do the convex hulls of some disjoint parts share a
+point?  Membership of the origin is the case where one part is the single
+point 0, so ``origin_in_hull`` is ``hulls_intersect`` with the origin
+appended.  The question is whether  A x = b,  x >= 0  admits a solution,
+decided by a phase-one simplex with Bland's pivoting rule, which cannot
+cycle, so termination is unconditional.  The tableau holds integer
 rows, each kept up to a positive scale and reduced by its gcd after every
 fraction-free pivot (Edmonds 1967, Bareiss 1968), so its pivots are exactly
 those of the same simplex over Fractions.  Every witness is re-substituted
-into its defining constraints in exact Fractions before it is returned.
+into its defining constraints in exact Fractions, by one check, before it
+is returned.
 """
 
 from __future__ import annotations
@@ -116,42 +120,25 @@ def origin_in_hull(
 ) -> ConvexWitness | None:
     """Convex coefficients writing the origin over the subset, or None.
 
-    An empty subset has an empty hull, so the answer is None.
+    This is hull intersection with a one-point part: the origin is appended
+    as point n, and the hulls of the subset and of {n} meet exactly when the
+    subset's hull holds the origin.  The witness is that of
+    ``hulls_intersect`` restricted to the subset.  An empty subset has an
+    empty hull, so the answer is None.
     """
-    indices = sorted(range(len(cfg.points)) if subset is None else set(subset))
+    n = len(cfg.points)
+    indices = sorted(range(n) if subset is None else set(subset))
     for i in indices:
-        if not 0 <= i < len(cfg.points):
+        if not 0 <= i < n:
             raise IndexError(f"point index {i} out of range")
-    if not indices:
+    extended = PointConfig(dim=cfg.dim, points=(*cfg.points, (_ZERO,) * cfg.dim))
+    found = hulls_intersect(extended, [indices, [n]])
+    if found is None:
         return None
-    d = cfg.dim
-    columns = [
-        [cfg.points[i][k] for k in range(d)] + [_ONE] for i in indices
-    ]
-    rhs = [_ZERO] * d + [_ONE]
-    x = _solve_feasibility(columns, rhs)
-    if x is None:
-        return None
-    witness = ConvexWitness(
-        coefficients=tuple((i, w) for i, w in zip(indices, x)),
-        groups=((0, tuple(indices)),),
+    _, witness = found
+    return ConvexWitness(
+        coefficients=witness.coefficients[:-1], groups=((0, tuple(indices)),)
     )
-    _check_origin_witness(cfg, witness)
-    return witness
-
-
-def _check_origin_witness(cfg: PointConfig, witness: ConvexWitness) -> None:
-    total = _ZERO
-    acc = [_ZERO] * cfg.dim
-    for i, w in witness.coefficients:
-        if w < 0:
-            raise AssertionError("negative convex coefficient")
-        if w:  # a zero weight adds exactly nothing
-            total += w
-            for k in range(cfg.dim):
-                acc[k] += w * cfg.points[i][k]
-    if total != 1 or any(v != 0 for v in acc):
-        raise AssertionError("witness fails exact re-substitution")
 
 
 def hulls_intersect(

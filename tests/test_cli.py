@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tverberg.cli import main
+from tverberg.cli import build_parser, main
 
 pytestmark = pytest.mark.usefixtures("pinned_clock")
 
@@ -317,6 +317,29 @@ def test_plot_svg_with_highlighted_removal(capsys, tmp_path):
     assert "circle" in out
 
 
+@pytest.mark.parametrize(
+    "report",
+    ["[1]", '{"witness_removal": 5}', '{"witness_removal": [1.7]}',
+     '{"witness_removal": [true]}', '{"witness_removal": [[1]], "unit": "classes"}'],
+    ids=["not-an-object", "not-a-list", "float-index", "bool-index", "list-class"],
+)
+def test_plot_report_must_be_an_object_with_integer_witness(capsys, tmp_path, report):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dimension": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]], "colors": [1, 2, 3],
+    }))
+    path = tmp_path / "r.json"
+    path.write_text(report)
+    code, out, err = run_cli(capsys, "plot", str(cfg), "--report", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed report JSON")
+
+
+def test_main_builds_its_parser_once():
+    # A fresh parser per call left a few hundred objects of cyclic garbage.
+    assert build_parser() is build_parser()
+
+
 def test_plot_rejects_other_dimensions(capsys, tmp_path):
     cfg = tmp_path / "line.json"
     assert run_cli(capsys, "gen", "line", "--n", "5", "--out", str(cfg))[0] == 0
@@ -432,8 +455,8 @@ def test_configuration_json_takes_only_integers_and_points(capsys, tmp_path, con
     assert err.startswith("error: malformed configuration JSON")
 
 # Malformed-input fuzzing.  Each example is a point file and a partition
-# file that are well formed but for a few malformed parts, or that hold any
-# JSON or text at all.  Decimal exponents and part counts above the number
+# file (which doubles as the report file of plot --report) that are well
+# formed but for a few malformed parts, or that hold any JSON or text at all.  Decimal exponents and part counts above the number
 # of labels are among the malformed parts: both are refused up front.
 _leaf = st.one_of(
     st.none(),
@@ -475,9 +498,11 @@ def _input_files(draw):
     if isinstance(labels, list) and labels and draw(st.integers(0, 9)) == 0:
         labels[draw(st.integers(0, len(labels) - 1))] = draw(_leaf)
     huge_r = st.integers(10**3, 10**18)
-    partition = json.dumps(
-        {"r": mostly(st.just(r), st.one_of(_leaf, huge_r)), "labels": labels}
-    )
+    part_data = {"r": mostly(st.just(r), st.one_of(_leaf, huge_r)), "labels": labels}
+    if draw(st.booleans()):  # also a report file, for plot --report
+        part_data["unit"] = draw(st.sampled_from(["points", "classes"]))
+        part_data["witness_removal"] = mostly(st.lists(st.integers(-1, n), max_size=3), _any_json)
+    partition = json.dumps(part_data)
     if draw(st.integers(0, 9)) == 0:
         partition = draw(st.one_of(_any_json.map(json.dumps), st.text(max_size=10)))
     suffix = ".csv" if style == "csv" else draw(st.sampled_from([".json", ".json", ".csv"]))
@@ -491,6 +516,7 @@ _command = st.sampled_from([
     ["verify", "{points}", "{partition}", "--method", "exhaustive"],
     ["verify", "{points}", "{partition}", "--mode", "colored"],
     ["plot", "{points}", "--partition", "{partition}"],
+    ["plot", "{points}", "--report", "{partition}"],
 ])
 
 

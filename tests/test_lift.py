@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tverberg.geometry import PointConfig
 from tverberg.lift import (
@@ -191,3 +193,132 @@ def test_round_trip_planar_three_parts():
         p = Partition(r=3, labels=labels)
         for removal in [set(), {0}, {4}, {1, 5}]:
             assert _bridge_agrees(cfg, p, removal)
+
+
+_ZERO = F(0)
+_ONE = F(1)
+
+
+def _lifted_recover_common_point(cfg, p, removal, lifted_witness):
+    """recover_common_point as it ran when it re-lifted the partition and
+    re-substituted the witness in lifted space; the reference below."""
+    lift = lift_partition(cfg, p)
+    removed = set(removal)
+    weights = dict(lifted_witness.coefficients)
+
+    total = _ZERO
+    acc = [_ZERO] * ((cfg.dim + 1) * (lift.basis.r - 1))
+    for j, w in weights.items():
+        if not 0 <= j < len(lift.lifted_points):
+            raise ValueError(f"witness refers to unknown lifted point {j}")
+        if w < 0:
+            raise ValueError("witness fails re-substitution: negative weight")
+        if w and j in removed:
+            raise ValueError("witness puts weight on a removed point")
+        total += w
+        for t, x in enumerate(lift.lifted_points[j]):
+            acc[t] += w * x
+    if total != 1 or any(v != 0 for v in acc):
+        raise ValueError("witness fails re-substitution")
+
+    # Per part, the weighted sum of (a, 1); the companion kernel forces all
+    # of these to agree, and the last coordinate is the part's weight mass.
+    part_ids = range(1, p.r + 1)
+    sums = {j: [_ZERO] * (cfg.dim + 1) for j in part_ids}
+    for j, w in weights.items():
+        part = p.labels[j]
+        b = tuple(cfg.points[j]) + (_ONE,)
+        for t, x in enumerate(b):
+            sums[part][t] += w * x
+    reference = sums[1]
+    for j in part_ids[1:]:
+        if sums[j] != reference:
+            raise ValueError(
+                "witness fails re-substitution: part sums disagree "
+                "(a removal emptied some part, or the weights are invalid)"
+            )
+    mass = reference[cfg.dim]
+    if mass <= 0:
+        raise ValueError("witness fails re-substitution: zero part mass")
+    point = tuple(x / mass for x in reference[: cfg.dim])
+
+    per_part = {j: [] for j in part_ids}
+    for j, w in sorted(weights.items()):
+        if w:
+            per_part[p.labels[j]].append((j, w / mass))
+    return point, per_part
+
+
+_weight = st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(1), F(-1, 2)])
+
+
+@st.composite
+def _recovery_cases(draw):
+    """(cfg, p, removal, witness): LP witnesses for the lifted origin, and
+    the same witnesses scaled, with weight moved between two indices (in
+    range or not), or replaced by random weights, often normalized to one.
+    Half the configurations end in one point repeated once per part, so
+    that their hulls meet and valid r = 3 witnesses are common."""
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 8))
+    points = list(random_int_config(n, draw(st.integers(1, 2)), draw(st.integers(0, 999)), spread=3).points)
+    labels = draw(st.lists(st.integers(1, r), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        points[-r:] = [points[-1]] * r
+        labels[-r:] = range(1, r + 1)
+    cfg = PointConfig(dim=len(points[0]), points=tuple(points))
+    p = Partition(r=r, labels=tuple(labels))
+    removal = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    found = _lifted_witness(cfg, p, removal)
+    weights = dict(found.coefficients) if found is not None else {}
+    kind = draw(st.sampled_from(["lp", "scaled", "moved", "moved", "random"]))
+    index = st.integers(-1, n)
+    if draw(st.booleans()):  # move weight inside one part, keeping its mass
+        index = st.sampled_from(p.part(draw(st.integers(1, r))) or [n])
+    if kind == "scaled":
+        k = draw(st.sampled_from([F(0), F(1, 2), F(2)]))
+        weights = {j: k * w for j, w in weights.items()}
+    elif kind == "moved":
+        i, j = draw(index), draw(index)
+        delta = draw(st.sampled_from([F(1, 2), F(1), F(2), F(-1)])) * (
+            weights.get(i) or F(1, 4)
+        )
+        weights[i] = weights.get(i, _ZERO) - delta
+        weights[j] = weights.get(j, _ZERO) + delta
+    elif kind == "random":
+        weights = draw(st.dictionaries(index, _weight, max_size=n))
+        total = sum(weights.values(), _ZERO)
+        if total > 0 and draw(st.booleans()):
+            weights = {j: w / total for j, w in weights.items()}
+    witness = ConvexWitness(
+        coefficients=tuple(weights.items()), groups=((0, tuple(weights)),)
+    )
+    return cfg, p, removal, witness
+
+
+def _recovery(fn, case):
+    try:
+        return fn(*case)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _case(points, labels, weights):
+    cfg = PointConfig(dim=1, points=tuple((F(v),) for v in points))
+    witness = ConvexWitness(
+        coefficients=tuple(enumerate(weights)), groups=((0, tuple(range(len(weights)))),)
+    )
+    return cfg, Partition(r=max(labels), labels=labels), (), witness
+
+
+@settings(max_examples=300, deadline=None)
+@given(_recovery_cases())
+# Part sums that agree but weights that sum to two; and parts 1 and 2 that
+# agree while part 3 does not, with and without weight on parts 1 and 2.
+@example(_case([0, 0], (1, 2), [F(1), F(1)]))
+@example(_case([0, 0, 0, 3], (1, 2, 3, 3), [F(1, 3), F(1, 3), F(1, 6), F(1, 6)]))
+@example(_case([0, 0, 3], (1, 2, 3), [F(0), F(0), F(1)]))
+def test_recovery_matches_lifted_re_substitution(case):
+    assert _recovery(recover_common_point, case) == _recovery(
+        _lifted_recover_common_point, case
+    )

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from tverberg.engine import random_partition
 from tverberg.gen import uniform_ball
-from tverberg.geometry import make_config
-from tverberg.lp import _solve_feasibility, hulls_intersect, origin_in_hull
+from tverberg.geometry import PointConfig, make_config
+from tverberg.lift import lift_partition
+from tverberg.lp import ConvexWitness, _solve_feasibility, hulls_intersect, origin_in_hull
+from tverberg.partition import Partition
 
 from conftest import brute_origin_in_hull, point_in_hull, random_int_config
 
@@ -268,3 +270,98 @@ def _tie_heavy_systems(draw):
 def test_integer_simplex_matches_fraction_tableau(system):
     columns, rhs = system
     assert _solve_feasibility(columns, rhs) == _fraction_solve_feasibility(columns, rhs)
+
+
+def _own_system_origin_in_hull(cfg, subset=None):
+    """origin_in_hull with its own column builder and witness check, as it
+    ran before it became the one-point case of hulls_intersect; the
+    reference below."""
+    indices = sorted(range(len(cfg.points)) if subset is None else set(subset))
+    for i in indices:
+        if not 0 <= i < len(cfg.points):
+            raise IndexError(f"point index {i} out of range")
+    if not indices:
+        return None
+    d = cfg.dim
+    columns = [
+        [cfg.points[i][k] for k in range(d)] + [_ONE] for i in indices
+    ]
+    rhs = [_ZERO] * d + [_ONE]
+    x = _solve_feasibility(columns, rhs)
+    if x is None:
+        return None
+    witness = ConvexWitness(
+        coefficients=tuple((i, w) for i, w in zip(indices, x)),
+        groups=((0, tuple(indices)),),
+    )
+    _check_origin_witness(cfg, witness)
+    return witness
+
+
+def _check_origin_witness(cfg, witness):
+    total = _ZERO
+    acc = [_ZERO] * cfg.dim
+    for i, w in witness.coefficients:
+        if w < 0:
+            raise AssertionError("negative convex coefficient")
+        if w:  # a zero weight adds exactly nothing
+            total += w
+            for k in range(cfg.dim):
+                acc[k] += w * cfg.points[i][k]
+    if total != 1 or any(v != 0 for v in acc):
+        raise AssertionError("witness fails exact re-substitution")
+
+
+_coordinate = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1)]),
+    st.builds(F, st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+@st.composite
+def _membership_queries(draw):
+    """(configuration, subset) with repeated points, points on a line through
+    the origin (so the origin often lies on a hull's boundary), the origin
+    itself, and lifted r = 2 and r = 3 configurations; subsets may hold an
+    index out of range."""
+    d = draw(st.integers(1, 3))
+    points: list[tuple[Fraction, ...]] = []
+    for _ in range(draw(st.integers(1, 8))):
+        if points and draw(st.booleans()):
+            k = draw(st.sampled_from([F(1), F(0), F(-1), F(2), F(-1, 2)]))
+            points.append(tuple(k * v for v in draw(st.sampled_from(points))))
+        else:
+            points.append(tuple(draw(_coordinate) for _ in range(d)))
+    cfg = PointConfig(dim=d, points=tuple(points))
+    n = len(points)
+    r = draw(st.sampled_from([0, 0, 2, 3]))
+    if r:
+        labels = draw(st.lists(st.integers(1, r), min_size=n, max_size=n))
+        cfg = lift_partition(cfg, Partition(r=r, labels=tuple(labels))).config()
+    subset = draw(st.one_of(
+        st.none(),
+        st.sets(st.integers(0, n - 1)),
+        st.sets(st.integers(-1, n), min_size=1),
+    ))
+    return cfg, subset
+
+
+def _outcome(fn, cfg, subset):
+    try:
+        return fn(cfg, subset)
+    except IndexError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_membership_queries())
+# The origin on the boundary: inside an edge with a repeated endpoint, and
+# as a repeated vertex.
+@example((make_config([(2, 0), (-1, 0), (0, 3), (2, 0)]), None))
+@example((make_config([(0, 0), (1, 2), (0, 0), (-1, 3)]), {0, 1, 2}))
+def test_origin_in_hull_matches_its_own_system(query):
+    # ConvexWitness equality compares coefficients and groups exactly.
+    cfg, subset = query
+    assert _outcome(origin_in_hull, cfg, subset) == _outcome(
+        _own_system_origin_in_hull, cfg, subset
+    )
