@@ -17,7 +17,7 @@ from .bounds import (
     sign_tolerance_from_n,
     tolerance_from_n,
 )
-from .depth import DepthCertificate, block_depth, candidate_halfspaces, depth, depth_oracle
+from .depth import DepthCertificate, block_depth, depth, depth_oracle
 from .engine import (
     ColorfulBlockChoice,
     SignAssignment,
@@ -77,7 +77,6 @@ __all__ = [
     "SignAssignment",
     "ToleranceReport",
     "block_depth",
-    "candidate_halfspaces",
     "carath_depth_bound",
     "carath_guaranteed_depth",
     "certified_colored_partition",

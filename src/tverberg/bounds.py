@@ -51,6 +51,8 @@ def eps_slack(n: int, d: int, r: int, eps: float) -> float:
     _check_ndr(n, d, r)
     if not 0.0 < eps < 1.0:
         raise ValueError("failure probability must lie in (0, 1)")
+    if not math.isfinite(1.0 / eps):
+        raise ValueError(f"failure probability {eps} is too small: 1/eps overflows")
     inner = (d + 1) * (r - 1) * n * math.log(n * r) + n * math.log(1.0 / eps)
     return math.sqrt(inner / 2.0)
 

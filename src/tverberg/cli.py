@@ -277,6 +277,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.budget is None or method == EXHAUSTIVE,
         "--budget applies to the exhaustive method only",
     )
+    _require(args.budget is None or args.budget >= 1, "--budget must be positive")
     _require(args.k is None or args.mode == "reay", "--k applies to reay mode only")
     cfg = load_config(args.input)
     p = _load_partition(args.partition)
@@ -461,7 +462,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
 

@@ -20,6 +20,8 @@ reads two maximal minors off its reduced last row and recovers the rest of
 the kernel vector by exact back-substitution.  Each hyperplane is examined
 once, in both orientations, at its first spanning subset, and a side that
 cannot beat the best value so far is pruned before anything else is done.
+At rank 1 the one subset is empty and its normal is the basis vector, so
+the two candidates are the two directions of the line.
 
 At rank 3, which covers every d=2, r=2 lift and every 3-D query, the side
 counts come from an angular sweep (Rousseeuw & Ruts, AS 307, 1996).  The
@@ -34,17 +36,12 @@ raises AssertionError.  The sweep changes no candidate, order or tie-break:
 ``candidate_count`` still counts every oriented hyperplane examined, pruned
 or not, recursion included.
 
-Points lying exactly on a candidate hyperplane are resolved by recursing on
-them: an infinitesimal tilt keeps every strictly-signed point on its side
-and re-plays the same minimization among the boundary points.  Realized
-witnesses are exact: a tilt by 1/K with integer K larger than any inner
-product cannot flip a strict sign, so nested tilts collapse to a single
-integer normal.
-
-The same enumeration, run without the minimization and keeping one realized
-half-space per locally perturbed cell, yields an explicit certificate family
-with min-over-family equal to the depth of every subset of the input; its
-size stays within 2 * 2^(d-1) * C(M, d-1) for M points spanning dimension d.
+Points lying exactly on a candidate hyperplane are resolved by the same
+search, recursing on them: an infinitesimal tilt keeps every strictly-signed
+point on its side and re-plays the minimization among the boundary points.
+Realized witnesses are exact: a tilt by 1/K with integer K larger than any
+inner product cannot flip a strict sign, so nested tilts collapse to a
+single integer normal.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ from .linalg import (
     clear_denominators,
     dot,
     hyperplane_normals,
-    primitive,
     row_basis,
     scalar_to_str,
     vec_sub,
@@ -163,15 +159,6 @@ def _search(
     basis = row_basis([w for _, w in items])
     k = len(basis)
     coords = [tuple(_idot(q, w) for q in basis) for _, w in items]
-
-    if k == 1:
-        counter[0] += 2
-        pos = {labels[i] for (i, _), cv in zip(items, coords) if cv[0] > 0}
-        neg = {labels[i] for (i, _), cv in zip(items, coords) if cv[0] < 0}
-        val_pos, val_neg = len(pos - hit), len(neg - hit)
-        if val_pos <= val_neg:
-            return val_pos, basis[0]
-        return val_neg, tuple(-x for x in basis[0])
 
     fresh: list[int | None] | None = None
     if k == 3:
@@ -412,68 +399,3 @@ def depth_oracle(cfg: PointConfig, c: Vector, budget: int | None = None) -> int:
     )
     return report.tolerance + 1
 
-
-def candidate_halfspaces(cfg: PointConfig, c: Vector) -> list[HalfSpace]:
-    """Closed half-spaces through c whose minimum count computes depth.
-
-    For every subset Z of the input points, min over the family of |H * Z|
-    equals the depth of c in Z: each member contains c, and the family
-    includes one realized half-space per locally perturbed cell around every
-    candidate hyperplane, which is where some minimizing half-space for any
-    Z can be tilted.  For M points spanning dimension d the family stays
-    within 2 * 2^(d-1) * C(M, d-1) members.
-    """
-    nonzero, _ = _shifted_int_vectors(cfg, c)
-    vecs = [w for _, w in nonzero]
-    d = cfg.dim
-
-    def halfspace(normal: IntVec) -> HalfSpace:
-        n = tuple(Fraction(x) for x in primitive(normal))
-        return HalfSpace(normal=n, offset=dot(n, c))
-
-    if not vecs:
-        unit = tuple(1 if t == 0 else 0 for t in range(d))
-        return [halfspace(unit)]
-
-    members = _cell_normals(vecs)
-
-    out: list[HalfSpace] = []
-    seen: set[tuple[IntVec, Fraction]] = set()
-    for normal in members:
-        h = halfspace(normal)
-        key = (tuple(int(x) for x in h.normal), h.offset)
-        if key not in seen:
-            seen.add(key)
-            out.append(h)
-    return out
-
-
-def _cell_normals(vecs: list[IntVec]) -> list[IntVec]:
-    """Directions hitting every full-dimensional cell of the central
-    arrangement of the given nonzero integer vectors.
-
-    Every returned v satisfies <v, w> != 0 for all inputs w: candidate
-    hyperplane directions are tilted recursively until no input remains on
-    the boundary.  Cells are reached with repetition (once per vertex of
-    their closure), which only pads the family.
-    """
-    basis = row_basis(vecs)
-    k = len(basis)
-    if k == 0:
-        return []
-    coords = [tuple(_idot(q, w) for q in basis) for w in vecs]
-    if k == 1:
-        return [basis[0], tuple(-x for x in basis[0])]
-    out: list[IntVec] = []
-    for _, z in _distinct_normals(coords, k):
-        dots = [_idot(z, cv) for cv in coords]
-        boundary = [vecs[i] for i, s in enumerate(dots) if s == 0]
-        strict = [vecs[i] for i, s in enumerate(dots) if s != 0]
-        normal = _lift_normal(z, basis)
-        for oriented in (normal, tuple(-x for x in normal)):
-            if not boundary:
-                out.append(oriented)
-                continue
-            for sub in _cell_normals(boundary):
-                out.append(_combine(oriented, sub, strict))
-    return out

@@ -2,8 +2,8 @@
 
 The JSON form keeps every coordinate as a "num/den" string so that files
 round-trip exactly.  CSV input accepts either "p/q" entries or exact decimal
-strings such as "1.25"; an optional trailing integer column carries color
-class ids.
+strings such as "1.25"; a trailing integer column carries color class ids
+when the other columns are not all integers (``load_csv`` detects it).
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ class PointConfig:
                 )
         if self.colors is not None and len(self.colors) != len(self.points):
             raise ValueError("colors must align one-to-one with points")
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     def color_classes(self) -> dict[int, list[int]]:
         """Point indices grouped by color id, in index order."""
@@ -152,13 +149,12 @@ def load_config(path: str | Path) -> PointConfig:
     return config_from_json(json.loads(p.read_text()))
 
 
-def load_csv(path: str | Path, colored: bool | None = None) -> PointConfig:
-    """Read one point per row; trailing integer column is treated as a color.
+def load_csv(path: str | Path) -> PointConfig:
+    """Read one point per row, with an auto-detected color column.
 
-    When ``colored`` is None the color column is auto-detected: it is assumed
-    present iff every row has the same width and the final entry of every row
-    is a bare integer while at least one other column is not.  Pass
-    ``colored=True``/``False`` to force the interpretation.
+    The last column holds color ids exactly when the rows have at least two
+    columns, the final entry of every row is a bare integer, and some other
+    entry is not; otherwise every column is a coordinate.
     """
     rows: list[list[str]] = []
     with open(path, newline="") as fh:
@@ -175,15 +171,9 @@ def load_csv(path: str | Path, colored: bool | None = None) -> PointConfig:
     def is_bare_int(s: str) -> bool:
         return s.lstrip("+-").isdigit()
 
-    if colored is None:
-        last_all_int = all(is_bare_int(r[-1]) for r in rows)
-        others_not_all_int = any(
-            not all(is_bare_int(c) for c in r[:-1]) for r in rows
-        )
-        colored = width >= 2 and last_all_int and others_not_all_int
-    if colored:
-        if width < 2:
-            raise ValueError(f"{path}: need a coordinate column before the colors")
+    last_all_int = all(is_bare_int(r[-1]) for r in rows)
+    others_not_all_int = any(not all(is_bare_int(c) for c in r[:-1]) for r in rows)
+    if last_all_int and others_not_all_int:
         points = [[scalar_from_str(c) for c in r[:-1]] for r in rows]
         colors = [int(r[-1]) for r in rows]
         return make_config(points, colors)

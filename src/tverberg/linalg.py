@@ -75,16 +75,6 @@ def as_vector(entries: Iterable[int | str | Fraction]) -> Vector:
     return vec
 
 
-def as_matrix(rows: Iterable[Iterable[int | str | Fraction]]) -> Matrix:
-    mat = tuple(as_vector(row) for row in rows)
-    if not mat:
-        raise ValueError("matrices must have at least one row")
-    width = len(mat[0])
-    if any(len(row) != width for row in mat):
-        raise ValueError("matrix rows must have equal length")
-    return mat
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
@@ -276,11 +266,14 @@ def hyperplane_normals(
     fix for the pivot-column order they are two signed cofactors, and the
     other entries follow by exact integer back-substitution.  For k <= 3
     every maximal minor is a 2 x 2 one, so the leaf is the closed-form
-    cross product instead.
+    cross product instead.  For k = 1 the one subset is empty, and the
+    kernel of the 0 x 1 matrix is (1,).
     """
-    if k < 2 or any(len(r) != k for r in rows):
-        raise ValueError("hyperplane_normals expects rows of length k >= 2")
-    if k == 2:
+    if k < 1 or any(len(r) != k for r in rows):
+        raise ValueError("hyperplane_normals expects rows of length k >= 1")
+    if k == 1:
+        yield (), (1,)
+    elif k == 2:
         for i, (a, b) in enumerate(rows):
             if a or b:
                 yield (i,), primitive((-b, a))

@@ -29,15 +29,13 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class ConvexWitness:
-    """Convex coefficients indexed by point, grouped by key.
+    """Convex coefficients indexed by point.
 
     ``coefficients`` lists (point index, weight) for every participating
-    point; weights are nonnegative and each group's weights sum to one.
-    ``groups`` maps a group key to the indices it contains.
+    point; weights are nonnegative and each part's weights sum to one.
     """
 
     coefficients: tuple[tuple[int, Fraction], ...]
-    groups: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def _solve_feasibility(
@@ -136,9 +134,7 @@ def origin_in_hull(
     if found is None:
         return None
     _, witness = found
-    return ConvexWitness(
-        coefficients=witness.coefficients[:-1], groups=((0, tuple(indices)),)
-    )
+    return ConvexWitness(coefficients=witness.coefficients[:-1])
 
 
 def hulls_intersect(
@@ -194,10 +190,7 @@ def hulls_intersect(
         return None
 
     weights = {i: w for (gpos, i), w in zip(var_index, x)}
-    witness = ConvexWitness(
-        coefficients=tuple(sorted(weights.items())),
-        groups=tuple((gpos + 1, tuple(g)) for gpos, g in enumerate(groups)),
-    )
+    witness = ConvexWitness(coefficients=tuple(sorted(weights.items())))
     point = tuple(
         sum((weights[i] * cfg.points[i][k] for i in groups[0] if weights[i]), _ZERO)
         for k in range(d)

@@ -26,6 +26,8 @@ _PALETTE = (
     "#999999",
 )
 _HIGHLIGHT = "#CC0000"
+_SIZE = 640  # width and height of the square canvas
+_MARGIN = 48
 
 
 def _cross(o: Vector, a: Vector, b: Vector) -> Fraction:
@@ -67,21 +69,20 @@ def _fmt(x: float) -> str:
 
 
 class _Projector:
-    def __init__(self, points: Sequence[Vector], size: int, margin: int) -> None:
+    def __init__(self, points: Sequence[Vector]) -> None:
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
         lo_x, hi_x = min(xs), max(xs)
         lo_y, hi_y = min(ys), max(ys)
         span = max(hi_x - lo_x, hi_y - lo_y, Fraction(1))
-        self._scale = (size - 2 * margin) / float(span)
+        self._scale = (_SIZE - 2 * _MARGIN) / float(span)
         self._lo_x = float(lo_x)
         self._hi_y = float(hi_y)
-        self._margin = margin
 
     def __call__(self, p: Vector) -> Tuple[float, float]:
         # SVG y grows downward; flip so the plot reads like usual axes.
-        x = self._margin + (float(p[0]) - self._lo_x) * self._scale
-        y = self._margin + (self._hi_y - float(p[1])) * self._scale
+        x = _MARGIN + (float(p[0]) - self._lo_x) * self._scale
+        y = _MARGIN + (self._hi_y - float(p[1])) * self._scale
         return x, y
 
 
@@ -89,8 +90,6 @@ def render_svg(
     cfg: PointConfig,
     partition: Optional[Partition] = None,
     removal: Optional[Collection[int]] = None,
-    size: int = 640,
-    margin: int = 48,
 ) -> str:
     """SVG document: points colored by part, part hulls as translucent
     polygons, removal indices ringed in red."""
@@ -103,13 +102,13 @@ def render_svg(
         if not 0 <= i < len(cfg.points):
             raise ValueError(f"removal index {i} out of range")
 
-    project = _Projector(cfg.points, size, margin)
+    project = _Projector(cfg.points)
     parts: List[List[int]] = partition.parts() if partition is not None else []
 
     lines: List[str] = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     for part_pos, members in enumerate(parts):
         color = _PALETTE[part_pos % len(_PALETTE)]

@@ -48,9 +48,12 @@ class SplitMix64:
         return _mix(self._state)
 
     def next_below(self, n: int) -> int:
-        """Uniform draw from 0..n-1 by rejection (no modulo bias)."""
+        """Uniform draw from 0..n-1 by rejection (no modulo bias), for
+        1 <= n <= 2**64."""
         if n <= 0:
             raise ValueError("bound must be positive")
+        if n > 1 << 64:
+            raise ValueError("bound exceeds 2**64, the range of one draw")
         if n == 1:
             return 0
         # Largest multiple of n that fits in 64 bits; draws at or above

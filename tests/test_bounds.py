@@ -146,6 +146,7 @@ def test_plain_slack_positive_and_growing():
         (reay_tolerance_from_m, (100, 1, 3, 1)),
         (carath_depth_bound, (10, 1, 0)),
         (fixed_point_probability, (0,)),
+        (n_for_probability, (10, 2, 2, 1e-320)),  # 1/eps is not finite
     ],
 )
 def test_invalid_parameters_rejected(fn, args):

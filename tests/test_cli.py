@@ -232,6 +232,17 @@ def test_verify_exhaustive_applies_t_cap(capsys, rainbow_files, mode):
     assert record["manifest"]["parameters"]["t_cap"] == 0
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_verify_budget_below_one_is_invalid(capsys, tmp_path, budget):
+    # Refused among the option checks: the input files do not exist.
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(
+        capsys, "verify", missing, missing, "--method", "exhaustive", "--budget", budget
+    )
+    assert code == 2 and out == ""
+    assert "--budget must be positive" in err
+
+
 def test_verify_budget_exhaustion_exit_code(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     part = tmp_path / "p.json"
@@ -435,6 +446,54 @@ def test_decimal_exponent_coordinate_is_invalid(tmp_path):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert "decimal exponents are not accepted" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "uniform-ball", "--n", "3", "--radius", str(2**63)], "exceeds 2**64"),
+        (["gen", "uniform-ball", "--n", "3", "--radius", str(10**20)], "exceeds 2**64"),
+        (
+            ["gen", "colored-classes", "--classes", "2", "--r", "2", "--radius", str(2**63)],
+            "exceeds 2**64",
+        ),
+        (
+            ["bound", "epsilon", "--t", "10", "--d", "2", "--r", "2", "--eps", "1e-320"],
+            "1/eps overflows",
+        ),
+    ],
+    ids=["radius-2^63", "radius-10^20", "colored-radius-2^63", "eps-1e-320"],
+)
+def test_requests_that_never_finish_are_invalid(argv, message):
+    # Each of these once looped forever; run in a subprocess so that a
+    # regression fails on the timeout, not hangs.
+    proc = subprocess.run(
+        [sys.executable, "-m", "tverberg.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("formula", ["plain", "carath"])
+def test_bound_past_float_range_is_invalid(capsys, formula):
+    code, out, err = run_cli(
+        capsys, "bound", formula, "--n", str(10**399), "--d", "2", "--r", "2"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_plot_past_float_range_is_invalid(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"dimension": 2, "points": [[str(10**400), "0"], ["1", "1"], ["0", "2"]]})
+    )
+    code, out, err = run_cli(capsys, "plot", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

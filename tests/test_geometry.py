@@ -99,13 +99,6 @@ def test_csv_without_colors(tmp_path):
     assert cfg.dim == 2 and cfg.colors is None
 
 
-def test_csv_forced_interpretation(tmp_path):
-    path = tmp_path / "pts.csv"
-    path.write_text("1,2\n3,4\n")
-    cfg = load_csv(path, colored=True)
-    assert cfg.dim == 1 and cfg.colors == (2, 4)
-
-
 def test_color_classes_groups_in_index_order():
     cfg = make_config([(0,), (1,), (2,), (3,)], colors=[2, 1, 2, 1])
     assert cfg.color_classes() == {1: [1, 3], 2: [0, 2]}

@@ -92,10 +92,7 @@ def test_recover_symmetric_instance_balanced_witness_gives_origin():
     )
     p = Partition(r=2, labels=(1, 1, 2, 2))
     quarter = F(1, 4)
-    balanced = ConvexWitness(
-        coefficients=tuple((j, quarter) for j in range(4)),
-        groups=((0, (0, 1, 2, 3)),),
-    )
+    balanced = ConvexWitness(coefficients=tuple((j, quarter) for j in range(4)))
     point, per_part = recover_common_point(cfg, p, (), balanced)
     assert point == (F(0),)
     for part_id in (1, 2):
@@ -127,9 +124,7 @@ def test_recover_point_lies_in_every_surviving_part():
 def test_recover_rejects_negative_weight():
     cfg = PointConfig(dim=1, points=((F(1),), (F(-1),)))
     p = Partition(r=2, labels=(1, 2))
-    bad = ConvexWitness(
-        coefficients=((0, F(3, 2)), (1, F(-1, 2))), groups=((0, (0, 1)),)
-    )
+    bad = ConvexWitness(coefficients=((0, F(3, 2)), (1, F(-1, 2))))
     with pytest.raises(ValueError, match="negative"):
         recover_common_point(cfg, p, (), bad)
 
@@ -140,10 +135,7 @@ def test_recover_rejects_weight_on_removed_point():
     )
     p = Partition(r=2, labels=(1, 1, 2, 2))
     quarter = F(1, 4)
-    witness = ConvexWitness(
-        coefficients=tuple((j, quarter) for j in range(4)),
-        groups=((0, (0, 1, 2, 3)),),
-    )
+    witness = ConvexWitness(coefficients=tuple((j, quarter) for j in range(4)))
     with pytest.raises(ValueError, match="removed"):
         recover_common_point(cfg, p, (1,), witness)
 
@@ -151,7 +143,7 @@ def test_recover_rejects_weight_on_removed_point():
 def test_recover_rejects_unknown_lifted_index():
     cfg = PointConfig(dim=1, points=((F(1),), (F(-1),)))
     p = Partition(r=2, labels=(1, 2))
-    bad = ConvexWitness(coefficients=((5, F(1)),), groups=((0, (5,)),))
+    bad = ConvexWitness(coefficients=((5, F(1)),))
     with pytest.raises(ValueError, match="unknown"):
         recover_common_point(cfg, p, (), bad)
 
@@ -160,9 +152,7 @@ def test_recover_rejects_non_witness_weights():
     # Valid indices, but the weights do not place the origin.
     cfg = PointConfig(dim=1, points=((F(1),), (F(-1),)))
     p = Partition(r=2, labels=(1, 2))
-    bad = ConvexWitness(
-        coefficients=((0, F(3, 4)), (1, F(1, 4))), groups=((0, (0, 1)),)
-    )
+    bad = ConvexWitness(coefficients=((0, F(3, 4)), (1, F(1, 4))))
     with pytest.raises(ValueError, match="re-substitution"):
         recover_common_point(cfg, p, (), bad)
 
@@ -290,9 +280,7 @@ def _recovery_cases(draw):
         total = sum(weights.values(), _ZERO)
         if total > 0 and draw(st.booleans()):
             weights = {j: w / total for j, w in weights.items()}
-    witness = ConvexWitness(
-        coefficients=tuple(weights.items()), groups=((0, tuple(weights)),)
-    )
+    witness = ConvexWitness(coefficients=tuple(weights.items()))
     return cfg, p, removal, witness
 
 
@@ -305,9 +293,7 @@ def _recovery(fn, case):
 
 def _case(points, labels, weights):
     cfg = PointConfig(dim=1, points=tuple((F(v),) for v in points))
-    witness = ConvexWitness(
-        coefficients=tuple(enumerate(weights)), groups=((0, tuple(range(len(weights)))),)
-    )
+    witness = ConvexWitness(coefficients=tuple(enumerate(weights)))
     return cfg, Partition(r=max(labels), labels=labels), (), witness
 
 

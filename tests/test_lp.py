@@ -87,12 +87,9 @@ def test_hulls_common_point_in_every_hull():
     parts = [[0, 1, 2], [3, 4, 5]]
     result = hulls_intersect(cfg, parts)
     assert result is not None
-    point, witness = result
+    point, _ = result
     for part in parts:
         assert point_in_hull(point, [cfg.points[i] for i in part])
-    # group weights sum to one per part
-    for _, members in witness.groups:
-        assert members
 
 
 def test_hulls_overlapping_parts_rejected():
@@ -290,10 +287,7 @@ def _own_system_origin_in_hull(cfg, subset=None):
     x = _solve_feasibility(columns, rhs)
     if x is None:
         return None
-    witness = ConvexWitness(
-        coefficients=tuple((i, w) for i, w in zip(indices, x)),
-        groups=((0, tuple(indices)),),
-    )
+    witness = ConvexWitness(coefficients=tuple((i, w) for i, w in zip(indices, x)))
     _check_origin_witness(cfg, witness)
     return witness
 
@@ -360,7 +354,7 @@ def _outcome(fn, cfg, subset):
 @example((make_config([(2, 0), (-1, 0), (0, 3), (2, 0)]), None))
 @example((make_config([(0, 0), (1, 2), (0, 0), (-1, 3)]), {0, 1, 2}))
 def test_origin_in_hull_matches_its_own_system(query):
-    # ConvexWitness equality compares coefficients and groups exactly.
+    # ConvexWitness equality compares coefficients exactly.
     cfg, subset = query
     assert _outcome(origin_in_hull, cfg, subset) == _outcome(
         _own_system_origin_in_hull, cfg, subset

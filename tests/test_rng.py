@@ -70,6 +70,14 @@ def test_next_below_rejects_nonpositive():
         g.next_below(0)
 
 
+def test_next_below_refuses_bounds_past_one_draw():
+    # Past 2**64 no draw could be accepted, so the bound is refused.
+    g = SplitMix64(5)
+    with pytest.raises(ValueError):
+        g.next_below((1 << 64) + 1)
+    assert g.next_below(1 << 64) == SplitMix64(5).next_u64()
+
+
 def test_next_sign_values_and_balance():
     g = SplitMix64(11)
     draws = [g.next_sign() for _ in range(10_000)]
