@@ -40,15 +40,8 @@ from .geometry import (
     save_config,
     side_counts,
 )
-from .lift import (
-    CompanionBasis,
-    LiftedChoice,
-    companion_basis,
-    lift_partition,
-    lift_point,
-    recover_common_point,
-)
-from .limits import BudgetExceeded, default_budget
+from .lift import lift_partition, recover_common_point
+from .limits import BudgetExceeded
 from .lp import ConvexWitness, hulls_intersect, origin_in_hull
 from .partition import Partition
 from .perms import derangements, forbidden_avoidance_count
@@ -66,11 +59,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceeded",
     "ColorfulBlockChoice",
-    "CompanionBasis",
     "ConvexWitness",
     "DepthCertificate",
     "HalfSpace",
-    "LiftedChoice",
     "Partition",
     "PointConfig",
     "ReayReport",
@@ -85,10 +76,8 @@ __all__ = [
     "colored_classes",
     "colored_tolerance",
     "colored_tolerance_from_n",
-    "companion_basis",
     "config_from_json",
     "config_to_json",
-    "default_budget",
     "depth",
     "depth_oracle",
     "derangements",
@@ -97,7 +86,6 @@ __all__ = [
     "grid_points",
     "hulls_intersect",
     "lift_partition",
-    "lift_point",
     "line_points",
     "load_config",
     "load_csv",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 from .perms import derangements
 
@@ -36,14 +37,26 @@ def tolerance_from_n(n: int, d: int, r: int) -> int:
     return math.ceil(n / r - plain_slack(n, d, r)) - 1
 
 
+def _least_n(start: int, holds: Callable[[int], bool]) -> int:
+    """Least n >= start with holds(n), by galloping from start, then
+    bisecting.  Both callers compare n/r - slack(n) with a constant; that
+    is convex in n (slack = sqrt(n (A ln(n r) + B)) is concave), so when
+    start fails, the failing n form one run from start: a forward scan's n."""
+    low, step = start - 1, 1  # no n <= low is sought
+    while not holds(low + step):
+        low, step = low + step, 2 * step
+    high = low + step  # holds(high), and the answer lies in low + 1 .. high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if holds(mid) else (mid, high)
+    return high
+
+
 def n_for_tolerance(t: int, d: int, r: int) -> int:
     """Smallest n >= max(rt, 1) whose guarantee reaches tolerance t."""
     if t < 0:
         raise ValueError("tolerance must be nonnegative")
-    n = max(r * t, 1)
-    while tolerance_from_n(n, d, r) < t:
-        n += 1
-    return n
+    return _least_n(max(r * t, 1), lambda n: tolerance_from_n(n, d, r) >= t)
 
 
 def eps_slack(n: int, d: int, r: int, eps: float) -> float:
@@ -59,17 +72,16 @@ def eps_slack(n: int, d: int, r: int, eps: float) -> float:
 
 def n_for_probability(t: int, d: int, r: int, eps: float) -> int:
     """Smallest n such that a single uniform partition has tolerance >= t
-    with probability at least 1 - eps: forward scan for
+    with probability at least 1 - eps: the least n with
     t + 1 <= n/r - eps_slack(n, d, r, eps).
 
-    No n below r(t+1) can satisfy the inequality, so the scan starts there.
+    No n below r(t+1) can satisfy the inequality, so the search starts there.
     """
     if t < 0:
         raise ValueError("tolerance must be nonnegative")
-    n = max(r * (t + 1), 1)
-    while n / r - eps_slack(n, d, r, eps) < t + 1:
-        n += 1
-    return n
+    return _least_n(
+        max(r * (t + 1), 1), lambda n: n / r - eps_slack(n, d, r, eps) >= t + 1
+    )
 
 
 def fixed_point_probability(r: int) -> Fraction:
@@ -90,7 +102,10 @@ def colored_tolerance_from_n(n: int, d: int, r: int) -> int:
     """Class-removal tolerance guarantee for n color classes of size r in R^d:
     floor(p(r) n - colored_slack - 1) with p(r) the fixed-point probability.
     """
-    p = float(fixed_point_probability(r))
+    # p(r) alternates around 1 - 1/e with shrinking error, and p(18) and
+    # p(19) round to the same double, so every r >= 18 gives that double;
+    # capping r skips the exact derangement count of a large r.
+    p = float(fixed_point_probability(min(r, 18)))
     return math.floor(p * n - colored_slack(n, d, r) - 1.0)
 
 

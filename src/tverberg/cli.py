@@ -46,7 +46,7 @@ from .engine import (
     certified_reay_partition,
 )
 from .geometry import config_to_json, load_config, save_config
-from .limits import BUDGET_ENV_VAR, BudgetExceeded
+from .limits import BudgetExceeded
 from .linalg import as_vector, int_from_json
 from .partition import Partition
 from .plot import render_svg
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--budget",
         type=int,
-        help=f"LP-call budget for exhaustive scans (default ${BUDGET_ENV_VAR} or 10^6)",
+        help="LP-call budget for exhaustive scans (default 10^6)",
     )
     v.set_defaults(func=cmd_verify)
 

@@ -2,24 +2,7 @@
 
 from __future__ import annotations
 
-import os
-
 DEFAULT_BUDGET = 10**6
-BUDGET_ENV_VAR = "TVERBERG_BUDGET"
-
-
-def default_budget() -> int:
-    """Default LP-call budget, overridable via the environment."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive")
-    return value
 
 
 class BudgetExceeded(RuntimeError):

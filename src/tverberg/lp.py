@@ -113,28 +113,20 @@ def _eliminate(target: list[int], prow: list[int], col: int) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def origin_in_hull(
-    cfg: PointConfig, subset: Iterable[int] | None = None
-) -> ConvexWitness | None:
-    """Convex coefficients writing the origin over the subset, or None.
+def origin_in_hull(cfg: PointConfig) -> ConvexWitness | None:
+    """Convex coefficients writing the origin over the points, or None.
 
     This is hull intersection with a one-point part: the origin is appended
-    as point n, and the hulls of the subset and of {n} meet exactly when the
-    subset's hull holds the origin.  The witness is that of
-    ``hulls_intersect`` restricted to the subset.  An empty subset has an
-    empty hull, so the answer is None.
+    as point n, and the hulls of the points and of {n} meet exactly when
+    the points' hull holds the origin.  The witness is that of
+    ``hulls_intersect`` cut to the first n points.
     """
     n = len(cfg.points)
-    indices = sorted(range(n) if subset is None else set(subset))
-    for i in indices:
-        if not 0 <= i < n:
-            raise IndexError(f"point index {i} out of range")
     extended = PointConfig(dim=cfg.dim, points=(*cfg.points, (_ZERO,) * cfg.dim))
-    found = hulls_intersect(extended, [indices, [n]])
+    found = hulls_intersect(extended, [range(n), [n]])
     if found is None:
         return None
-    _, witness = found
-    return ConvexWitness(coefficients=witness.coefficients[:-1])
+    return ConvexWitness(coefficients=found[1].coefficients[:n])
 
 
 def hulls_intersect(

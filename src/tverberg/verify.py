@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .depth import DepthCertificate, block_depth, depth
 from .geometry import PointConfig
 from .lift import lift_partition, recover_common_point
-from .limits import BudgetExceeded, default_budget
+from .limits import DEFAULT_BUDGET, BudgetExceeded
 from .linalg import Vector, scalar_to_str
 from .lp import hulls_intersect, origin_in_hull
 from .partition import Partition
@@ -90,7 +90,7 @@ def _lifted_report(
     ``colors`` (one id per point) the unit is a color class, and the lifted
     points of a class form one block of a block-depth computation.
     """
-    lifted_cfg = lift_partition(cfg, p).config()
+    lifted_cfg = lift_partition(cfg, p)
     origin = (0,) * lifted_cfg.dim
     if colors is None:
         unit_of = range(len(cfg.points))
@@ -111,7 +111,7 @@ def _lifted_report(
         witness = origin_in_hull(lifted_cfg)
         if witness is None:
             raise AssertionError("positive depth but origin not in lifted hull")
-        common, _ = recover_common_point(cfg, p, (), witness)
+        common = recover_common_point(cfg, p, witness)
     return ToleranceReport(
         tolerance=cert.depth - 1,
         method=LIFTED,
@@ -138,7 +138,7 @@ def _removal_scan(
     spent.
     """
     if budget is None:
-        budget = default_budget()
+        budget = DEFAULT_BUDGET
     units = {i: [i] for i in range(len(cfg.points))} if classes is None else classes
     # Sets of units are bitmasks: bit b stands for the b-th unit in
     # sorted order, and bit_of maps a point to its unit's bit.
@@ -312,8 +312,6 @@ def reay_tolerance(
         raise ValueError("k must lie in 2..r")
     if method not in (LIFTED, EXHAUSTIVE):
         raise ValueError(f"unknown method {method!r}")
-    if method == EXHAUSTIVE and budget is None:
-        budget = default_budget()
 
     spent = 0
     results: List[Tuple[Tuple[int, ...], ToleranceReport]] = []

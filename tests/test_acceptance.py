@@ -205,7 +205,7 @@ def test_criterion_6_derangement_suite():
 
 
 def _plain_integrity(cfg, p, report):
-    lifted_cfg = lift_partition(cfg, p).config()
+    lifted_cfg = lift_partition(cfg, p)
     cert = report.certificate
     inside, boundary, _ = side_counts(lifted_cfg, cert.witness)
     if inside + boundary != cert.depth or cert.witness.offset > 0:

@@ -9,7 +9,9 @@ from tverberg.bounds import (
     carath_depth_bound,
     carath_guaranteed_depth,
     carath_slack,
+    colored_slack,
     colored_tolerance_from_n,
+    eps_slack,
     fixed_point_probability,
     n_for_probability,
     n_for_tolerance,
@@ -74,6 +76,40 @@ def test_n_for_probability_guarantee_exceeds_requested_tolerance():
         assert 8 + 1 <= n / 3 - lam
 
 
+def _scan_for_tolerance(t, d, r):
+    n = max(r * t, 1)
+    while tolerance_from_n(n, d, r) < t:
+        n += 1
+    return n
+
+
+def _scan_for_probability(t, d, r, eps):
+    n = max(r * (t + 1), 1)
+    while n / r - eps_slack(n, d, r, eps) < t + 1:
+        n += 1
+    return n
+
+
+_GRID = [
+    (t, d, r)
+    for d in (1, 2, 3, 6)
+    for r in (2, 3, 5)
+    for t in [*range(0, 30), 64, 100, 333]
+]
+
+
+def test_n_for_tolerance_matches_forward_scan():
+    for t, d, r in _GRID:
+        assert n_for_tolerance(t, d, r) == _scan_for_tolerance(t, d, r), (t, d, r)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 1e-6])
+def test_n_for_probability_matches_forward_scan(eps):
+    for t, d, r in _GRID:
+        expected = _scan_for_probability(t, d, r, eps)
+        assert n_for_probability(t, d, r, eps) == expected, (t, d, r, eps)
+
+
 def test_fixed_point_probability_values():
     assert fixed_point_probability(1) == Fraction(1)
     assert fixed_point_probability(2) == Fraction(1, 2)
@@ -85,6 +121,19 @@ def test_fixed_point_probability_values():
 
 def test_colored_tolerance_frozen_value():
     assert colored_tolerance_from_n(200, 1, 3) == 77
+
+
+def test_fixed_point_probability_float_settles_at_eighteen():
+    # colored_tolerance_from_n reads p(r) for r >= 18 as p(18).
+    settled = float(fixed_point_probability(18))
+    assert float(fixed_point_probability(17)) != settled
+    for r in range(18, 401):
+        assert float(fixed_point_probability(r)) == settled
+    for n, d, r in [(10, 2, 18), (200, 1, 19), (500, 3, 400)]:
+        expected = math.floor(
+            float(fixed_point_probability(r)) * n - colored_slack(n, d, r) - 1.0
+        )
+        assert colored_tolerance_from_n(n, d, r) == expected
 
 
 def test_colored_tolerance_below_plain():

@@ -210,17 +210,6 @@ def test_partition_rejects_k_outside_reay(capsys, tmp_path):
     assert "--k" in err
 
 
-def test_budget_variable_only_read_by_exhaustive_runs(capsys, monkeypatch, rainbow_files):
-    monkeypatch.setenv("TVERBERG_BUDGET", "x")
-    reay = ["--mode", "reay", "--k", "2"]
-    assert run_cli(capsys, "verify", *rainbow_files, *reay)[0] == 0
-    code, _, err = run_cli(
-        capsys, "verify", *rainbow_files, *reay, "--method", "exhaustive"
-    )
-    assert code == 2
-    assert "TVERBERG_BUDGET" in err
-
-
 @pytest.mark.parametrize("mode", ["plain", "colored"])
 def test_verify_exhaustive_applies_t_cap(capsys, rainbow_files, mode):
     record = run_json(
@@ -475,6 +464,27 @@ def test_requests_that_never_finish_are_invalid(argv, message):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "epsilon", "--t", str(10**15), "--d", "2", "--r", "2", "--eps", "0.5"],
+        ["bound", "colored", "--n", "10", "--d", "2", "--r", "200000"],
+    ],
+    ids=["epsilon-t-10^15", "colored-r-200000"],
+)
+def test_large_bound_requests_finish(argv):
+    # Each of these once ran for hours; run in a subprocess so that a
+    # regression fails on the timeout, not hangs.
+    proc = subprocess.run(
+        [sys.executable, "-m", "tverberg.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["formula"] == argv[1]
 
 
 @pytest.mark.parametrize("formula", ["plain", "carath"])

@@ -192,7 +192,7 @@ _LIFT_LABELS = (2, 1, 2, 3, 2, 3, 3, 1, 2, 1, 3, 1)
 
 def _lifted_r3():
     cfg = make_config(_LIFT_POINTS)
-    return lift_partition(cfg, Partition(r=3, labels=_LIFT_LABELS)).config()
+    return lift_partition(cfg, Partition(r=3, labels=_LIFT_LABELS))
 
 
 def test_lifted_r3_depth_pinned():
@@ -225,7 +225,7 @@ def test_search_sized_lifted_depth_pinned():
     # from the pencil sweep; these values were computed by the per-candidate
     # loop, so they pin the first-minimum tie-break and the candidate count.
     cfg = uniform_ball(68, 2, 1000, 7)
-    lifted = lift_partition(cfg, random_partition(68, 2, 0)).config()
+    lifted = lift_partition(cfg, random_partition(68, 2, 0))
     cert = depth(lifted, (0, 0, 0))
     assert cert.depth == 21
     assert cert.candidate_count == 4590

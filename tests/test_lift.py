@@ -1,4 +1,4 @@
-"""Tensor lift: companion basis, layout, and recovery."""
+"""Tensor lift: companion vectors, layout, and recovery."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -8,12 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tverberg.geometry import PointConfig
-from tverberg.lift import (
-    companion_basis,
-    lift_partition,
-    lift_point,
-    recover_common_point,
-)
+from tverberg.lift import lift_partition, recover_common_point
 from tverberg.linalg import clear_denominators, row_basis
 from tverberg.lp import ConvexWitness, hulls_intersect, origin_in_hull
 from tverberg.partition import Partition
@@ -23,55 +18,64 @@ from conftest import all_labelings, point_in_hull, random_int_config
 F = Fraction
 
 
+def _companions(r):
+    """u_1, ..., u_r read off the lift of the point a = 0 once per part:
+    (0, 1) (x) u_j is r - 1 zeros followed by u_j."""
+    cfg = PointConfig(dim=1, points=((F(0),),) * r)
+    lifted = lift_partition(cfg, Partition(r=r, labels=tuple(range(1, r + 1))))
+    return tuple(q[r - 1 :] for q in lifted.points)
+
+
+def _lift_one(a, label, r):
+    cfg = PointConfig(dim=len(a), points=(tuple(F(x) for x in a),))
+    return lift_partition(cfg, Partition(r=r, labels=(label,))).points[0]
+
+
 def test_companion_basis_small_cases():
-    b2 = companion_basis(2)
-    assert b2.vectors == ((F(1),), (F(-1),))
-    b3 = companion_basis(3)
-    assert b3.vectors == ((F(1), F(0)), (F(0), F(1)), (F(-1), F(-1)))
+    assert _companions(2) == ((F(1),), (F(-1),))
+    assert _companions(3) == ((F(1), F(0)), (F(0), F(1)), (F(-1), F(-1)))
 
 
 def test_companion_basis_rejects_single_part():
-    with pytest.raises(ValueError):
-        companion_basis(1)
+    cfg = PointConfig(dim=1, points=((F(0),),))
+    with pytest.raises(ValueError, match="two parts"):
+        lift_partition(cfg, Partition(r=1, labels=(1,)))
 
 
 @pytest.mark.parametrize("r", range(2, 13))
 def test_companion_basis_kernel_is_all_ones(r):
-    basis = companion_basis(r)
-    assert all(len(u) == r - 1 for u in basis.vectors)
+    vectors = _companions(r)
+    assert all(len(u) == r - 1 for u in vectors)
     # The only dependence is the all-equal one: columns sum to zero and the
     # (r-1) x r matrix has full row rank, so the kernel is exactly span(1..1).
     for t in range(r - 1):
-        assert sum(u[t] for u in basis.vectors) == 0
-    rows = [
-        clear_denominators(tuple(u[t] for u in basis.vectors))
-        for t in range(r - 1)
-    ]
+        assert sum(u[t] for u in vectors) == 0
+    rows = [clear_denominators(tuple(u[t] for u in vectors)) for t in range(r - 1)]
     assert len(row_basis(rows)) == r - 1
 
 
 def test_lift_point_line_examples():
-    assert lift_point((F(5),), (F(1),)) == (F(5), F(1))
-    assert lift_point((F(5),), (F(-1),)) == (F(-5), F(-1))
+    assert _lift_one((5,), 1, 2) == (F(5), F(1))
+    assert _lift_one((5,), 2, 2) == (F(-5), F(-1))
 
 
 def test_lift_point_row_major_layout():
-    # b = (2, 3, 1); rows of b against columns of u, flattened by rows.
-    got = lift_point((F(2), F(3)), (F(1), F(0)))
+    # b = (2, 3, 1) against u_1 = (1, 0); rows of b, flattened by rows.
+    got = _lift_one((2, 3), 1, 3)
     assert got == (F(2), F(0), F(3), F(0), F(1), F(0))
 
 
 def test_lift_point_zero_source_keeps_only_appended_row():
-    got = lift_point((F(0), F(0)), (F(1), F(-1)))
-    assert got == (F(0), F(0), F(0), F(0), F(1), F(-1))
+    got = _lift_one((0, 0), 3, 3)
+    assert got == (F(0), F(0), F(0), F(0), F(-1), F(-1))
 
 
 def test_lift_partition_plain_two_points():
     cfg = PointConfig(dim=1, points=((F(1),), (F(-1),)))
     p = Partition(r=2, labels=(1, 2))
     lift = lift_partition(cfg, p)
-    assert lift.lifted_points == ((F(1), F(1)), (F(1), F(-1)))
-    assert lift.config().dim == 2
+    assert lift.points == ((F(1), F(1)), (F(1), F(-1)))
+    assert lift.dim == 2
 
 
 def test_lift_partition_label_alignment_checked():
@@ -81,8 +85,18 @@ def test_lift_partition_label_alignment_checked():
 
 
 def _lifted_witness(cfg, p, removal=()):
-    survivors = [j for j in range(len(cfg.points)) if j not in set(removal)]
-    return origin_in_hull(lift_partition(cfg, p).config(), survivors)
+    """Witness for the origin in the lift of the points that survive the
+    removal, a sub-configuration lifted as reay_tolerance lifts one; its
+    indices are mapped back to cfg's."""
+    members = [j for j in range(len(cfg.points)) if j not in set(removal)]
+    sub_cfg = PointConfig(dim=cfg.dim, points=tuple(cfg.points[j] for j in members))
+    sub_p = Partition(r=p.r, labels=tuple(p.labels[j] for j in members))
+    found = origin_in_hull(lift_partition(sub_cfg, sub_p))
+    if found is None:
+        return None
+    return ConvexWitness(
+        coefficients=tuple((members[j], w) for j, w in found.coefficients)
+    )
 
 
 def test_recover_symmetric_instance_balanced_witness_gives_origin():
@@ -93,16 +107,11 @@ def test_recover_symmetric_instance_balanced_witness_gives_origin():
     p = Partition(r=2, labels=(1, 1, 2, 2))
     quarter = F(1, 4)
     balanced = ConvexWitness(coefficients=tuple((j, quarter) for j in range(4)))
-    point, per_part = recover_common_point(cfg, p, (), balanced)
-    assert point == (F(0),)
-    for part_id in (1, 2):
-        coeffs = per_part[part_id]
-        assert sum(w for _, w in coeffs) == 1
-        assert all(p.labels[i] == part_id for i, _ in coeffs)
+    assert recover_common_point(cfg, p, balanced) == (F(0),)
     # Whatever witness the solver picks must still recover a common point.
     solved = _lifted_witness(cfg, p)
     assert solved is not None
-    point, _ = recover_common_point(cfg, p, (), solved)
+    point = recover_common_point(cfg, p, solved)
     assert F(-1) <= point[0] <= F(1)
 
 
@@ -114,11 +123,10 @@ def test_recover_point_lies_in_every_surviving_part():
             witness = _lifted_witness(cfg, p, removal)
             if witness is None:
                 continue
-            point, per_part = recover_common_point(cfg, p, removal, witness)
-            for part_id, members in enumerate(p.parts(), start=1):
+            point = recover_common_point(cfg, p, witness)
+            for members in p.parts():
                 alive = [cfg.points[i] for i in members if i not in removal]
                 assert point_in_hull(point, alive)
-                assert sum(w for _, w in per_part[part_id]) == 1
 
 
 def test_recover_rejects_negative_weight():
@@ -126,18 +134,7 @@ def test_recover_rejects_negative_weight():
     p = Partition(r=2, labels=(1, 2))
     bad = ConvexWitness(coefficients=((0, F(3, 2)), (1, F(-1, 2))))
     with pytest.raises(ValueError, match="negative"):
-        recover_common_point(cfg, p, (), bad)
-
-
-def test_recover_rejects_weight_on_removed_point():
-    cfg = PointConfig(
-        dim=1, points=((F(-1),), (F(1),), (F(-1),), (F(1),))
-    )
-    p = Partition(r=2, labels=(1, 1, 2, 2))
-    quarter = F(1, 4)
-    witness = ConvexWitness(coefficients=tuple((j, quarter) for j in range(4)))
-    with pytest.raises(ValueError, match="removed"):
-        recover_common_point(cfg, p, (1,), witness)
+        recover_common_point(cfg, p, bad)
 
 
 def test_recover_rejects_unknown_lifted_index():
@@ -145,7 +142,7 @@ def test_recover_rejects_unknown_lifted_index():
     p = Partition(r=2, labels=(1, 2))
     bad = ConvexWitness(coefficients=((5, F(1)),))
     with pytest.raises(ValueError, match="unknown"):
-        recover_common_point(cfg, p, (), bad)
+        recover_common_point(cfg, p, bad)
 
 
 def test_recover_rejects_non_witness_weights():
@@ -154,7 +151,7 @@ def test_recover_rejects_non_witness_weights():
     p = Partition(r=2, labels=(1, 2))
     bad = ConvexWitness(coefficients=((0, F(3, 4)), (1, F(1, 4))))
     with pytest.raises(ValueError, match="re-substitution"):
-        recover_common_point(cfg, p, (), bad)
+        recover_common_point(cfg, p, bad)
 
 
 def _bridge_agrees(cfg, p, removal):
@@ -189,24 +186,21 @@ _ZERO = F(0)
 _ONE = F(1)
 
 
-def _lifted_recover_common_point(cfg, p, removal, lifted_witness):
+def _lifted_recover_common_point(cfg, p, lifted_witness):
     """recover_common_point as it ran when it re-lifted the partition and
     re-substituted the witness in lifted space; the reference below."""
     lift = lift_partition(cfg, p)
-    removed = set(removal)
     weights = dict(lifted_witness.coefficients)
 
     total = _ZERO
-    acc = [_ZERO] * ((cfg.dim + 1) * (lift.basis.r - 1))
+    acc = [_ZERO] * lift.dim
     for j, w in weights.items():
-        if not 0 <= j < len(lift.lifted_points):
+        if not 0 <= j < len(lift.points):
             raise ValueError(f"witness refers to unknown lifted point {j}")
         if w < 0:
             raise ValueError("witness fails re-substitution: negative weight")
-        if w and j in removed:
-            raise ValueError("witness puts weight on a removed point")
         total += w
-        for t, x in enumerate(lift.lifted_points[j]):
+        for t, x in enumerate(lift.points[j]):
             acc[t] += w * x
     if total != 1 or any(v != 0 for v in acc):
         raise ValueError("witness fails re-substitution")
@@ -230,13 +224,7 @@ def _lifted_recover_common_point(cfg, p, removal, lifted_witness):
     mass = reference[cfg.dim]
     if mass <= 0:
         raise ValueError("witness fails re-substitution: zero part mass")
-    point = tuple(x / mass for x in reference[: cfg.dim])
-
-    per_part = {j: [] for j in part_ids}
-    for j, w in sorted(weights.items()):
-        if w:
-            per_part[p.labels[j]].append((j, w / mass))
-    return point, per_part
+    return tuple(x / mass for x in reference[: cfg.dim])
 
 
 _weight = st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(1), F(-1, 2)])
@@ -244,7 +232,8 @@ _weight = st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(1), F(-1, 2)])
 
 @st.composite
 def _recovery_cases(draw):
-    """(cfg, p, removal, witness): LP witnesses for the lifted origin, and
+    """(cfg, p, witness): LP witnesses for the lifted origin, some found
+    after a removal of up to two points, and
     the same witnesses scaled, with weight moved between two indices (in
     range or not), or replaced by random weights, often normalized to one.
     Half the configurations end in one point repeated once per part, so
@@ -281,7 +270,7 @@ def _recovery_cases(draw):
         if total > 0 and draw(st.booleans()):
             weights = {j: w / total for j, w in weights.items()}
     witness = ConvexWitness(coefficients=tuple(weights.items()))
-    return cfg, p, removal, witness
+    return cfg, p, witness
 
 
 def _recovery(fn, case):
@@ -294,7 +283,7 @@ def _recovery(fn, case):
 def _case(points, labels, weights):
     cfg = PointConfig(dim=1, points=tuple((F(v),) for v in points))
     witness = ConvexWitness(coefficients=tuple(enumerate(weights)))
-    return cfg, Partition(r=max(labels), labels=labels), (), witness
+    return cfg, Partition(r=max(labels), labels=labels), witness
 
 
 @settings(max_examples=300, deadline=None)
