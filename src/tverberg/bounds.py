@@ -116,7 +116,11 @@ def reay_slack(m: int, d: int, r: int, k: int) -> float:
     _check_ndr(m, d, r)
     if not 2 <= k <= r:
         raise ValueError("k must lie in 2..r")
-    inner = (d + 1) * (k - 1) * math.log(m * r) + math.log(math.comb(r, k))
+    if r <= 10_000:
+        log_comb = math.log(math.comb(r, k))
+    else:  # the exact C(r, k) has up to ~0.3 r digits
+        log_comb = math.lgamma(r + 1) - math.lgamma(k + 1) - math.lgamma(r - k + 1)
+    inner = (d + 1) * (k - 1) * math.log(m * r) + log_comb
     return math.sqrt(m * inner / 2.0)
 
 

@@ -7,7 +7,10 @@ blocks; point depth is block depth with singleton blocks.
 
 Everything reduces, after translating c to the origin and clearing
 denominators (a positive per-point scaling that preserves every sign), to
-minimizing over nonzero integer directions v the set {w : <v, w> >= 0}.  The
+minimizing over nonzero integer directions v the set {w : <v, w> >= 0}.
+The same sign-preserving integer rows re-check the witness, once: the
+points whose row w has <v, w> >= 0 (a point equal to c has w = 0) form its
+closed side, which must touch exactly the certified number of blocks.  The
 minimum is attained in an open cell of the central hyperplane arrangement of
 the w's, and every open cell touches a "vertex" direction orthogonal to some
 spanning subset of size rank-1.  The search writes the w's in coordinates of
@@ -71,12 +74,17 @@ IntVec = tuple[int, ...]
 class DepthCertificate:
     """Depth value with a minimizing closed half-space.
 
+    ``inside`` holds the sorted indices of the points in the witness's
+    closed half-space, points equal to the query included; it comes from
+    the one exact side test of the witness, on the integer rows the search
+    used, and touches exactly ``depth`` blocks.  ``to_json`` leaves it out.
     ``candidate_count`` records how many oriented candidate directions the
     search examined, recursion included.
     """
 
     depth: int
     witness: HalfSpace
+    inside: tuple[int, ...]
     candidate_count: int
     mode: str  # "point-depth" | "block-depth"
 
@@ -94,23 +102,6 @@ class DepthCertificate:
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
-
-
-def _shifted_int_vectors(
-    cfg: PointConfig, c: Vector
-) -> tuple[list[tuple[int, IntVec]], list[int]]:
-    """(index, integer vector) pairs for points != c, plus indices equal to c."""
-    if len(c) != cfg.dim:
-        raise ValueError("query point dimension does not match the configuration")
-    nonzero: list[tuple[int, IntVec]] = []
-    zero: list[int] = []
-    for i, p in enumerate(cfg.points):
-        w = clear_denominators(vec_sub(p, c))
-        if any(w):
-            nonzero.append((i, w))
-        else:
-            zero.append(i)
-    return nonzero, zero
 
 
 def _canon(vec: IntVec) -> IntVec:
@@ -332,30 +323,31 @@ def _blocks_to_labels(cfg: PointConfig, blocks: Sequence[Sequence[int]]) -> list
 def _depth_impl(
     cfg: PointConfig, labels: Sequence[int], c: Vector, mode: str
 ) -> DepthCertificate:
-    nonzero, zero = _shifted_int_vectors(cfg, c)
-    prehit = frozenset(labels[i] for i in zero)
+    if len(c) != cfg.dim:
+        raise ValueError("query point dimension does not match the configuration")
+    rows = [(i, clear_denominators(vec_sub(p, c))) for i, p in enumerate(cfg.points)]
+    nonzero = [(i, w) for i, w in rows if any(w)]
+    prehit = frozenset(labels[i] for i, w in rows if not any(w))
     counter = [0]
     value, normal = _search(nonzero, labels, prehit, counter)
     total = len(prehit) + value
     if normal is None:
         normal = tuple(1 if t == 0 else 0 for t in range(cfg.dim))
-    witness = HalfSpace(
-        normal=tuple(Fraction(x) for x in normal),
-        offset=dot(tuple(Fraction(x) for x in normal), c),
-    )
-    achieved = len(
-        {
-            labels[i]
-            for i, p in enumerate(cfg.points)
-            if dot(witness.normal, p) >= witness.offset
-        }
-    )
+    # Each row is a positive multiple of p - c, so <normal, w> >= 0 exactly
+    # when p lies in the closed witness half-space; a zero row lies on it.
+    inside = tuple(i for i, w in rows if _idot(normal, w) >= 0)
+    achieved = len({labels[i] for i in inside})
     if achieved != total:
         raise AssertionError(
             f"witness half-space touches {achieved} blocks, search said {total}"
         )
+    fnormal = tuple(Fraction(x) for x in normal)
     return DepthCertificate(
-        depth=total, witness=witness, candidate_count=counter[0], mode=mode
+        depth=total,
+        witness=HalfSpace(normal=fnormal, offset=dot(fnormal, c)),
+        inside=inside,
+        candidate_count=counter[0],
+        mode=mode,
     )
 
 

@@ -39,10 +39,8 @@ def lift_partition(cfg: PointConfig, p: Partition) -> PointConfig:
     point j lifts source point j."""
     _check_partition(cfg, p)
     r = p.r
-    companions = [
-        tuple(_ONE if t == j else _ZERO for t in range(r - 1)) for j in range(r - 1)
-    ]
-    companions.append((-_ONE,) * (r - 1))
+    companions = [tuple(int(t == j) for t in range(r - 1)) for j in range(r - 1)]
+    companions.append((-1,) * (r - 1))
     points = tuple(
         tuple(x * u for x in (*a, _ONE) for u in companions[label - 1])
         for a, label in zip(cfg.points, p.labels)

@@ -3,7 +3,9 @@
 Two independent routes are provided, each written once.  The lifted
 route (``_lifted_report``) computes the tolerance of a partition as the
 half-space depth of the origin in the companion-vector lift, minus one;
-its witness is the half-space certificate pulled back to removal units.
+its witness is the half-space certificate pulled back to removal units:
+lifted point j lifts point j, so the units of the certificate's ``inside``
+points, from depth's one exact side test, form the removal set.
 The exhaustive route (``_removal_scan``) tries every set of removal
 units of increasing size against the hull-intersection oracle and is
 the ground truth the lifted route is tested against; a set that misses
@@ -102,8 +104,7 @@ def _lifted_report(
             for color in sorted(set(colors))
         ]
         cert = block_depth(lifted_cfg, blocks, origin)
-    inside = [j for j, q in enumerate(lifted_cfg.points) if cert.witness.contains(q)]
-    removal = sorted({unit_of[j] for j in inside})
+    removal = sorted({unit_of[j] for j in cert.inside})
     if len(removal) != cert.depth:
         raise AssertionError("lifted witness does not match certified depth")
     common = None

@@ -1,6 +1,7 @@
 """Closed-form tolerance bounds: frozen values and shape properties."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from tverberg.bounds import (
     n_for_probability,
     n_for_tolerance,
     plain_slack,
+    reay_slack,
     reay_tolerance_from_m,
     sign_tolerance_from_n,
     tolerance_from_n,
@@ -154,6 +156,28 @@ def test_reay_with_all_parts_matches_plain():
 def test_reay_tolerance_shrinks_with_more_simultaneous_parts():
     values = [reay_tolerance_from_m(300, 1, 4, k) for k in (2, 3, 4)]
     assert values == sorted(values, reverse=True)
+
+
+def _exact_reay_slack(m, d, r, k):
+    inner = (d + 1) * (k - 1) * math.log(m * r) + math.log(math.comb(r, k))
+    return math.sqrt(m * inner / 2.0)
+
+
+def test_reay_slack_is_exact_up_to_ten_thousand_parts():
+    for r in (2, 3, 7, 100, 1000, 9999, 10_000):
+        for k in sorted({2, 3, r // 2, r - 1, r} & set(range(2, r + 1))):
+            for m, d in [(100, 1), (240, 2), (10**6, 3)]:
+                assert reay_slack(m, d, r, k) == _exact_reay_slack(m, d, r, k)
+
+
+def test_reay_slack_for_many_parts_is_fast_and_close():
+    assert reay_slack(100, 2, 20_001, 10_000) == pytest.approx(
+        _exact_reay_slack(100, 2, 20_001, 10_000), rel=1e-12
+    )
+    start = time.perf_counter()
+    slack = reay_slack(100, 2, 4_000_000, 2_000_000)
+    assert time.perf_counter() - start < 1.0
+    assert 77_978 < slack < 77_980
 
 
 def test_carath_depth_frozen_value():

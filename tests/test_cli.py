@@ -450,8 +450,16 @@ def test_decimal_exponent_coordinate_is_invalid(tmp_path):
             ["bound", "epsilon", "--t", "10", "--d", "2", "--r", "2", "--eps", "1e-320"],
             "1/eps overflows",
         ),
+        (["gen", "uniform-ball", "--n", "2", "--dim", "30"], "exceeds the cap of 8"),
+        (
+            ["gen", "colored-classes", "--classes", "1", "--r", "2", "--dim", "24"],
+            "exceeds the cap of 8",
+        ),
     ],
-    ids=["radius-2^63", "radius-10^20", "colored-radius-2^63", "eps-1e-320"],
+    ids=[
+        "radius-2^63", "radius-10^20", "colored-radius-2^63", "eps-1e-320",
+        "ball-dim-30", "colored-ball-dim-24",
+    ],
 )
 def test_requests_that_never_finish_are_invalid(argv, message):
     # Each of these once looped forever; run in a subprocess so that a
@@ -471,8 +479,9 @@ def test_requests_that_never_finish_are_invalid(argv, message):
     [
         ["bound", "epsilon", "--t", str(10**15), "--d", "2", "--r", "2", "--eps", "0.5"],
         ["bound", "colored", "--n", "10", "--d", "2", "--r", "200000"],
+        ["bound", "reay", "--n", "100", "--d", "2", "--r", "4000000", "--k", "2000000"],
     ],
-    ids=["epsilon-t-10^15", "colored-r-200000"],
+    ids=["epsilon-t-10^15", "colored-r-200000", "reay-r-4*10^6"],
 )
 def test_large_bound_requests_finish(argv):
     # Each of these once ran for hours; run in a subprocess so that a

@@ -80,6 +80,40 @@ def test_depth_1d_random(seed, n, c):
     assert depth(cfg, (F(c),)).depth == depth_1d([p[0] for p in cfg.points], F(c))
 
 
+_rational = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inside_is_the_witness_closed_side(data):
+    # The one integer side test must agree with substituting every point
+    # into the Fraction half-space, centre copies included.
+    dim = data.draw(st.integers(1, 3))
+    vec = st.tuples(*[_rational] * dim)
+    points = data.draw(st.lists(vec, min_size=1, max_size=7))
+    c = data.draw(st.sampled_from(["zero", "rational", "point"]))
+    c = (
+        (F(0),) * dim if c == "zero"
+        else data.draw(vec) if c == "rational"
+        else data.draw(st.sampled_from(points))
+    )
+    for _ in range(data.draw(st.integers(0, 2))):
+        points.insert(data.draw(st.integers(0, len(points))), c)
+    cfg = PointConfig(dim=dim, points=tuple(points))
+    if data.draw(st.booleans()):
+        cert = depth(cfg, c)
+    else:
+        labels = data.draw(
+            st.lists(st.integers(0, 2), min_size=len(points), max_size=len(points))
+        )
+        blocks = [[i for i, b in enumerate(labels) if b == g] for g in set(labels)]
+        cert = block_depth(cfg, blocks, c)
+    assert list(cert.inside) == [
+        i for i, p in enumerate(cfg.points) if cert.witness.contains(p)
+    ]
+    assert set(cert.to_json()) == {"depth", "mode", "candidate_count", "witness_halfspace"}
+
+
 def test_oracle_examples():
     assert depth_oracle(make_config([(1, 1), (1, -1), (-1, 1), (-1, -1)]), (0, 0)) == 2
     assert depth_oracle(make_config([(1,), (-1,)]), (0,)) == 1

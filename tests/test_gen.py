@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tverberg.gen import (
+    MAX_BALL_DIM,
     MAX_GRID_POINTS,
     colored_classes,
     grid_points,
@@ -56,6 +57,20 @@ def test_uniform_ball_parameter_validation():
         uniform_ball(5, 0, 5, 0)
     with pytest.raises(ValueError):
         uniform_ball(5, 2, 0, 0)
+
+
+def test_ball_dimension_cap():
+    # Cube rejection accepts ~2e-14 of the draws in dimension 30; the cap
+    # refuses such requests instead of sampling for hours.
+    with pytest.raises(ValueError, match="exceeds the cap of 8"):
+        uniform_ball(2, MAX_BALL_DIM + 1, 5, 0)
+    with pytest.raises(ValueError, match="exceeds the cap of 8"):
+        colored_classes(1, 2, dim=24, radius=5, seed=0)
+    # Dimension 8 is still drawn, as before the cap.
+    assert uniform_ball(2, MAX_BALL_DIM, 5, 3).points == (
+        tuple(map(F, (-1, 0, 2, 0, 0, -2, 3, -2))),
+        tuple(map(F, (-2, -1, -2, 2, 0, 3, 1, 0))),
+    )
 
 
 def test_colored_classes_layout():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tverberg.engine import certified_partition
 from tverberg.gen import line_points, uniform_ball
 from tverberg.geometry import PointConfig
+from tverberg.lift import lift_partition
 from tverberg.limits import BudgetExceeded
 from tverberg.lp import hulls_intersect
 from tverberg.partition import Partition
@@ -419,3 +420,28 @@ def test_methods_agree_on_seeded_disc_instances():
         exhaustive = tolerance_exhaustive(cfg, p)
         assert exhaustive.tolerance == lifted.tolerance
         assert hulls_intersect(cfg, _survivors(p, set(exhaustive.witness_removal))) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lifted_removal_is_the_witness_side_of_the_lift(data):
+    # The report takes its removal from the certificate's ``inside``; the
+    # oracle substitutes every lifted point into the witness half-space.
+    dim = data.draw(st.integers(1, 2))
+    r = data.draw(st.integers(2, 3))
+    n = data.draw(st.integers(r, 7))
+    coord = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    points = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+    labels = data.draw(st.permutations([i % r + 1 for i in range(n)]))
+    colors = data.draw(
+        st.none() | st.lists(st.integers(1, 3), min_size=n, max_size=n)
+    )
+    cfg = PointConfig(dim=dim, points=tuple(points))
+    p = Partition(r=r, labels=tuple(labels))
+    report = verify._lifted_report(cfg, p, colors)
+    unit_of = range(n) if colors is None else colors
+    witness = report.certificate.witness
+    lifted = lift_partition(cfg, p)
+    assert report.witness_removal == tuple(
+        sorted({unit_of[j] for j, q in enumerate(lifted.points) if witness.contains(q)})
+    )
