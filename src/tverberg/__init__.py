@@ -41,11 +41,11 @@ from .geometry import (
     side_counts,
 )
 from .lift import lift_partition, recover_common_point
-from .limits import BudgetExceeded
 from .lp import ConvexWitness, hulls_intersect, origin_in_hull
 from .partition import Partition
 from .perms import derangements, forbidden_avoidance_count
 from .verify import (
+    BudgetExceeded,
     ReayReport,
     ToleranceReport,
     colored_tolerance,

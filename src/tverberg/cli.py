@@ -10,7 +10,8 @@ parameters, tool version, timestamp).  Timestamps honor
 SOURCE_DATE_EPOCH so archived runs can be reproduced byte for byte.
 
 Exit codes: 0 success, 2 invalid input, 3 budget exceeded, 4 no
-certified partition within the trial limit.
+certified partition (``engine.unreachable`` says when none can exist).
+Commands check their options; every rule on the data is the library's.
 """
 
 from __future__ import annotations
@@ -41,18 +42,21 @@ from .bounds import (
 )
 from .depth import block_depth, depth
 from .engine import (
+    DEFAULT_TRIALS,
     certified_colored_partition,
     certified_partition,
     certified_reay_partition,
+    unreachable,
 )
 from .geometry import config_to_json, load_config, save_config
-from .limits import BudgetExceeded
 from .linalg import as_vector, int_from_json
 from .partition import Partition
 from .plot import render_svg
 from .verify import (
+    DEFAULT_BUDGET,
     EXHAUSTIVE,
     LIFTED,
+    BudgetExceeded,
     colored_tolerance,
     reay_tolerance,
     tolerance_by_lifted_depth,
@@ -104,12 +108,18 @@ def _manifest(
     }
 
 
-def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _emit(obj: dict, path: Optional[str] = None) -> None:
+    """Write obj as sorted, indented JSON to path, or to stdout."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
-def _write_json(path: str, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The manifest parameters: each named option that was given."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
 def _load_partition(path: str) -> Partition:
@@ -122,18 +132,6 @@ def _require(condition: bool, message: str) -> None:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    params = {
-        k: v
-        for k, v in (
-            ("n", args.n),
-            ("d", args.d),
-            ("r", args.r),
-            ("k", args.k),
-            ("t", args.t),
-            ("eps", args.eps),
-        )
-        if v is not None
-    }
     record: dict
     if args.formula == "plain":
         _require(args.n is not None, "plain needs --n")
@@ -167,6 +165,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
             "lambda": carath_slack(args.n, args.d, args.r),
         }
     record["formula"] = args.formula
+    params = _given(args, "n", "d", "r", "k", "t", "eps")
     record["manifest"] = _manifest("bound", [], None, params)
     _emit(record)
     return EXIT_OK
@@ -193,23 +192,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _partition_params(args: argparse.Namespace) -> dict:
-    params = {
-        "mode": args.mode,
-        "t_target": args.t,
-        "max_trials": args.max_trials,
-    }
-    if args.r is not None:
-        params["r"] = args.r
-    if args.k is not None:
-        params["k"] = args.k
-    return params
-
-
 def cmd_partition(args: argparse.Namespace) -> int:
     _require(args.k is None or args.mode == "reay", "--k applies to reay mode only")
     cfg = load_config(args.input)
-    n = len(cfg.points)
     if args.mode == "plain":
         _require(args.r is not None, "plain mode needs --r")
         found = certified_partition(cfg, args.r, args.t, args.seed, args.max_trials)
@@ -230,39 +215,19 @@ def cmd_partition(args: argparse.Namespace) -> int:
         )
 
     if found is None:
-        if args.mode == "colored":
-            classes = len(cfg.color_classes())
-            if args.t > classes - 1:
-                sys.stderr.write(
-                    f"unachievable: tolerance {args.t} would survive removing all "
-                    f"{classes} classes\n"
-                )
-            else:
-                sys.stderr.write(
-                    f"no certified partition within {args.max_trials} trials\n"
-                )
-        elif args.r is not None and n <= args.r * args.t:
-            sys.stderr.write(
-                f"unachievable by pigeonhole: {n} points in {args.r} parts leave "
-                f"some part with at most {args.t} points, and removing that part "
-                f"empties it\n"
-            )
-        else:
-            sys.stderr.write(
-                f"no certified partition within {args.max_trials} trials\n"
-            )
+        reason = unreachable(cfg, args.t, None if args.mode == "colored" else args.r)
+        sys.stderr.write(
+            (reason or f"no certified partition within {args.max_trials} trials") + "\n"
+        )
         return EXIT_ABSENT
 
     p, report = found
-    manifest = _manifest(
-        "partition", [args.input], args.seed, _partition_params(args)
-    )
-    partition_obj = {**p.to_json(), "manifest": manifest}
-    report_obj = {**report.to_json(), "manifest": manifest}
+    params = {"t_target": args.t, **_given(args, "mode", "max_trials", "r", "k")}
+    manifest = _manifest("partition", [args.input], args.seed, params)
     if args.out_partition:
-        _write_json(args.out_partition, partition_obj)
+        _emit({**p.to_json(), "manifest": manifest}, args.out_partition)
     if args.out_report:
-        _write_json(args.out_report, report_obj)
+        _emit({**report.to_json(), "manifest": manifest}, args.out_report)
     _emit({"partition": p.to_json(), "report": report.to_json(), "manifest": manifest})
     return EXIT_OK
 
@@ -293,52 +258,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:  # reay
         _require(args.k is not None, "reay mode needs --k")
         report = reay_tolerance(cfg, p, args.k, method=method, budget=args.budget)
-    params = {"mode": args.mode, "method": args.method}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.t_cap is not None:
-        params["t_cap"] = args.t_cap
-    if args.budget is not None:
-        params["budget"] = args.budget
+    params = _given(args, "mode", "method", "k", "t_cap", "budget")
     manifest = _manifest("verify", [args.input, args.partition], None, params)
     _emit({**report.to_json(), "manifest": manifest})
     return EXIT_OK
 
 
-def _parse_center(raw: Optional[str], dim: int):
-    if raw is None:
-        return (0,) * dim
-    center = as_vector(raw.split(","))
-    _require(len(center) == dim, f"center has {len(center)} coordinates, need {dim}")
-    return center
-
-
-def _parse_blocks(raw: str, n: int) -> List[List[int]]:
-    blocks: List[List[int]] = []
-    for chunk in raw.split(";"):
-        members = [int(x) for x in chunk.split(",") if x.strip() != ""]
-        blocks.append(members)
-    flat = [i for b in blocks for i in b]
-    _require(
-        sorted(flat) == list(range(n)),
-        "blocks must cover every point index exactly once",
-    )
-    return blocks
-
-
 def cmd_depth(args: argparse.Namespace) -> int:
     cfg = load_config(args.input)
-    center = _parse_center(args.center, cfg.dim)
-    if args.blocks:
-        cert = block_depth(cfg, _parse_blocks(args.blocks, len(cfg.points)), center)
-    else:
+    raw = args.center
+    center = (0,) * cfg.dim if raw is None else as_vector(raw.split(","))
+    if args.blocks is None:
         cert = depth(cfg, center)
-    params = {}
-    if args.center is not None:
-        params["center"] = args.center
-    if args.blocks:
-        params["blocks"] = args.blocks
-    manifest = _manifest("depth", [args.input], None, params)
+    else:
+        blocks = [
+            [int(x) for x in chunk.split(",") if x.strip() != ""]
+            for chunk in args.blocks.split(";")
+        ]
+        cert = block_depth(cfg, blocks, center)
+    manifest = _manifest("depth", [args.input], None, _given(args, "center", "blocks"))
     _emit({**cert.to_json(), "manifest": manifest})
     return EXIT_OK
 
@@ -417,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="tuple size (reay mode)")
     p.add_argument("--t", type=int, required=True, help="target tolerance")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-trials", type=int, default=64)
+    p.add_argument("--max-trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--out-partition", help="write the partition JSON here")
     p.add_argument("--out-report", help="write the report JSON here")
     p.set_defaults(func=cmd_partition)
@@ -432,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--budget",
         type=int,
-        help="LP-call budget for exhaustive scans (default 10^6)",
+        help=f"removal sets an exhaustive scan may walk (default {DEFAULT_BUDGET})",
     )
     v.set_defaults(func=cmd_verify)
 

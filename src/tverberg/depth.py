@@ -310,7 +310,7 @@ def _blocks_to_labels(cfg: PointConfig, blocks: Sequence[Sequence[int]]) -> list
     for b, group in enumerate(blocks):
         for i in group:
             if not 0 <= i < n:
-                raise IndexError(f"point index {i} out of range")
+                raise ValueError(f"point index {i} out of range")
             if labels[i] != -1:
                 raise ValueError(f"point index {i} appears in two blocks")
             labels[i] = b

@@ -5,6 +5,9 @@ probability once the point count clears the closed-form bounds, so a
 handful of seeded trials suffices.  Trial i always draws from the
 substream (seed, i); reruns with the same seed reproduce the exact
 same partitions and certificates.
+
+``unreachable`` owns the ceilings no partition can beat; the searches
+return None for those targets without sampling.
 """
 
 from __future__ import annotations
@@ -72,6 +75,32 @@ def random_block_choice(r: int, seed: int) -> ColorfulBlockChoice:
     return ColorfulBlockChoice(tuple(SplitMix64(seed).permutation(r)))
 
 
+def unreachable(
+    cfg: PointConfig, t_target: int, r: Optional[int] = None
+) -> Optional[str]:
+    """Why no partition of cfg into r parts (a rainbow one of its color
+    classes when r is None) can reach tolerance t_target, or None.
+
+    When n <= r * t_target some part has at most t_target points under
+    every labeling, and removing them empties it.  A rainbow partition has
+    n = r * classes, so there this reads t_target > classes - 1.
+    """
+    if r is None:
+        classes = len(cfg.color_classes())
+        if t_target > classes - 1:
+            return (
+                f"unachievable: tolerance {t_target} would survive removing all "
+                f"{classes} classes"
+            )
+    elif len(cfg.points) <= r * t_target:
+        return (
+            f"unachievable by pigeonhole: {len(cfg.points)} points in {r} parts "
+            f"leave some part with at most {t_target} points, and removing that "
+            f"part empties it"
+        )
+    return None
+
+
 def certified_partition(
     cfg: PointConfig,
     r: int,
@@ -82,20 +111,10 @@ def certified_partition(
     """First random partition (over max_trials seeded trials) whose
     certified tolerance reaches t_target, or None.
 
-    When n <= r * t_target some part has at most t_target points under
-    every labeling, so its removal breaks the intersection and no trial
-    can succeed; that case returns None without sampling.
+    A target that ``unreachable`` refuses returns None without sampling.
     """
-    _check_search(r, t_target, max_trials)
-    n = len(cfg.points)
-    if n <= r * t_target:
-        return None
-    return _first_certified(
-        lambda s: random_partition(n, r, s),
-        lambda p: tolerance_by_lifted_depth(cfg, p),
-        t_target,
-        seed,
-        max_trials,
+    return _certified_labeling(
+        cfg, r, t_target, seed, max_trials, lambda p: tolerance_by_lifted_depth(cfg, p)
     )
 
 
@@ -110,6 +129,7 @@ def certified_colored_partition(
 
     Every color class must have the same size r >= 2; each trial sends
     each class onto the r parts by an independent uniform permutation.
+    A target that ``unreachable`` refuses returns None without sampling.
     """
     classes = cfg.color_classes()
     sizes = {len(members) for members in classes.values()}
@@ -119,7 +139,7 @@ def certified_colored_partition(
     if r < 2:
         raise ValueError("color classes need at least two points each")
     _check_search(r, t_target, max_trials)
-    if t_target > len(classes) - 1:
+    if unreachable(cfg, t_target) is not None:
         return None
 
     n = len(cfg.points)
@@ -148,19 +168,9 @@ def certified_reay_partition(
     max_trials: int = DEFAULT_TRIALS,
 ) -> Optional[Tuple[Partition, ReayReport]]:
     """Random partitions until every k of the r hulls tolerates t_target
-    removals, or None.  Same pigeonhole refusal as certified_partition."""
-    _check_search(r, t_target, max_trials)
-    if not 2 <= k <= r:
-        raise ValueError("k must lie in 2..r")
-    n = len(cfg.points)
-    if n <= r * t_target:
-        return None
-    return _first_certified(
-        lambda s: random_partition(n, r, s),
-        lambda p: reay_tolerance(cfg, p, k),
-        t_target,
-        seed,
-        max_trials,
+    removals, or None.  Same refusal as certified_partition."""
+    return _certified_labeling(
+        cfg, r, t_target, seed, max_trials, lambda p: reay_tolerance(cfg, p, k), k
     )
 
 
@@ -195,6 +205,27 @@ def sign_assignment(
             best = (SignAssignment(signs), tolerance)
     assert best is not None
     return best
+
+
+def _certified_labeling(
+    cfg: PointConfig,
+    r: int,
+    t_target: int,
+    seed: int,
+    max_trials: int,
+    certify: Callable[[Partition], Report],
+    k: Optional[int] = None,
+) -> Optional[Tuple[Partition, Report]]:
+    """certified_partition, or with k certified_reay_partition."""
+    _check_search(r, t_target, max_trials)
+    if k is not None and not 2 <= k <= r:
+        raise ValueError("k must lie in 2..r")
+    if unreachable(cfg, t_target, r) is not None:
+        return None
+    n = len(cfg.points)
+    return _first_certified(
+        lambda s: random_partition(n, r, s), certify, t_target, seed, max_trials
+    )
 
 
 def _first_certified(

@@ -27,17 +27,10 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _check_partition(cfg: PointConfig, p: Partition) -> None:
-    if len(p.labels) != len(cfg.points):
-        raise ValueError("partition labels must align with the points")
-    if p.r < 2:
-        raise ValueError("need at least two parts")
-
-
 def lift_partition(cfg: PointConfig, p: Partition) -> PointConfig:
     """Lift every point onto the companion vector of its part; lifted
     point j lifts source point j."""
-    _check_partition(cfg, p)
+    p.check(cfg, lift=True)
     r = p.r
     companions = [tuple(int(t == j) for t in range(r - 1)) for j in range(r - 1)]
     companions.append((-1,) * (r - 1))
@@ -60,7 +53,7 @@ def recover_common_point(
     same weighted sum of (a, 1), since the companion vectors' only
     dependence is the all-equal one.  Any inconsistency raises ValueError.
     """
-    _check_partition(cfg, p)
+    p.check(cfg, lift=True)
     # Per part, the weighted sum of (a, 1); its last coordinate is the
     # part's weight mass.
     part_ids = range(1, p.r + 1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .geometry import PointConfig
 from .linalg import int_from_json
 
 
@@ -25,6 +26,14 @@ class Partition:
         bad = [l for l in self.labels if not 1 <= l <= self.r]
         if bad:
             raise ValueError(f"labels {bad} fall outside 1..{self.r}")
+
+    def check(self, cfg: PointConfig, lift: bool = False) -> None:
+        """Raise ValueError unless the labels match cfg's points one to one
+        and, with ``lift``, there are the two parts the lift needs."""
+        if len(self.labels) != len(cfg.points):
+            raise ValueError("partition labels a different number of points")
+        if lift and self.r < 2:
+            raise ValueError("need at least two parts")
 
     def parts(self) -> list[list[int]]:
         """Index sets per part, position j holding part id j+1."""

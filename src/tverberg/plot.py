@@ -95,8 +95,8 @@ def render_svg(
     polygons, removal indices ringed in red."""
     if cfg.dim != 2:
         raise ValueError("plotting requires dimension 2")
-    if partition is not None and len(partition.labels) != len(cfg.points):
-        raise ValueError("partition labels a different number of points")
+    if partition is not None:
+        partition.check(cfg)
     removed = set(removal or ())
     for i in removed:
         if not 0 <= i < len(cfg.points):

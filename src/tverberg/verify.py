@@ -14,6 +14,8 @@ a query, since that point survives the removal.  A unit is a point,
 or a whole color class in the colored form; the k-of-r form is the plain
 tolerance of each k-part sub-partition.  The same scan serves
 ``depth.depth_oracle``: the query point is one more part, in no unit.
+A scan's budget counts the removal sets it walks, skipped ones included,
+and the scan raises ``BudgetExceeded`` before a size that would overrun it.
 """
 
 from __future__ import annotations
@@ -26,13 +28,26 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .depth import DepthCertificate, block_depth, depth
 from .geometry import PointConfig
 from .lift import lift_partition, recover_common_point
-from .limits import DEFAULT_BUDGET, BudgetExceeded
 from .linalg import Vector, scalar_to_str
 from .lp import hulls_intersect, origin_in_hull
 from .partition import Partition
 
 LIFTED = "lifted-depth"
 EXHAUSTIVE = "exhaustive-oracle"
+
+DEFAULT_BUDGET = 10**6
+
+
+class BudgetExceeded(RuntimeError):
+    """An exhaustive scan would walk more removal sets than its budget;
+    ``required`` is a lower bound on the sets it would walk."""
+
+    def __init__(self, required: int, budget: int, context: str) -> None:
+        super().__init__(
+            f"{context}: needs at least {required} removal sets, budget is {budget}"
+        )
+        self.required = required
+        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -76,13 +91,6 @@ class ToleranceReport:
                 "offset": scalar_to_str(self.certificate.witness.offset),
             }
         return out
-
-
-def _require_partition(cfg: PointConfig, p: Partition, min_parts: int = 1) -> None:
-    if len(p.labels) != len(cfg.points):
-        raise ValueError("partition labels a different number of points")
-    if p.r < min_parts:
-        raise ValueError(f"need at least {min_parts} parts")
 
 
 def _lifted_report(
@@ -168,7 +176,7 @@ def _removal_scan(
             raise BudgetExceeded(
                 required=spent + level,
                 budget=budget,
-                context=f"{scan} at size {s} needs {level} more hull queries",
+                context=f"{scan} at size {s} has {level} more removal sets",
             )
         spent += level
         for removal, mask in zip(
@@ -210,7 +218,6 @@ def tolerance_by_lifted_depth(cfg: PointConfig, p: Partition) -> ToleranceReport
     lies in the depth certificate's half-space; removing them destroys
     every common point of the part hulls.
     """
-    _require_partition(cfg, p, min_parts=2)
     return _lifted_report(cfg, p)
 
 
@@ -234,7 +241,7 @@ def tolerance_exhaustive(
     charges every removal set, skipped or not: the scan refuses up front
     (per size level) when the level would exceed it.
     """
-    _require_partition(cfg, p)
+    p.check(cfg)
     return _removal_scan(cfg, p.parts(), t_cap=t_cap, budget=budget)[0]
 
 
@@ -251,7 +258,7 @@ def colored_tolerance(
     unit of removal is a whole color class; tolerance t means the part
     hulls still intersect after deleting the points of any t classes.
     """
-    _require_partition(cfg, p)
+    p.check(cfg)
     classes = cfg.color_classes()
     for color, members in classes.items():
         if len(members) != p.r:
@@ -262,8 +269,9 @@ def colored_tolerance(
         if len(seen) != p.r:
             raise ValueError(f"color class {color} is not spread over all parts")
     if method == LIFTED:
-        if p.r < 2:
-            raise ValueError("the lifted method needs at least two parts")
+        for name, knob in (("t_cap", t_cap), ("budget", budget)):
+            if knob is not None:
+                raise ValueError(f"{name} applies to the exhaustive method only")
         return _lifted_report(cfg, p, colors=cfg.colors)
     if method != EXHAUSTIVE:
         raise ValueError(f"unknown method {method!r}")
@@ -306,13 +314,15 @@ def reay_tolerance(
     part subsets, each taken on the sub-configuration of its parts'
     points (removing other points cannot affect it) with the parts
     relabelled 1..k in order; witnesses are mapped back to the original
-    indices.  The exhaustive scans share one LP budget.
+    indices.  The exhaustive scans share one budget.
     """
-    _require_partition(cfg, p)
+    p.check(cfg)
     if not 2 <= k <= p.r:
         raise ValueError("k must lie in 2..r")
     if method not in (LIFTED, EXHAUSTIVE):
         raise ValueError(f"unknown method {method!r}")
+    if method == LIFTED and budget is not None:
+        raise ValueError("budget applies to the exhaustive method only")
 
     spent = 0
     results: List[Tuple[Tuple[int, ...], ToleranceReport]] = []

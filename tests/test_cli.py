@@ -136,6 +136,22 @@ def test_partition_pigeonhole_refusal_exit_code(capsys, tmp_path):
     assert "pigeonhole" in err
 
 
+def test_partition_colored_class_count_refusal_exit_code(capsys, tmp_path):
+    # Removing all 3 classes empties every part, so tolerance 3 is refused.
+    cfg = tmp_path / "classes.json"
+    code, _, _ = run_cli(
+        capsys,
+        "gen", "colored-classes", "--classes", "3", "--r", "2", "--dim", "1",
+        "--out", str(cfg),
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys, "partition", str(cfg), "--mode", "colored", "--t", "3"
+    )
+    assert (code, out) == (4, "")
+    assert err == "unachievable: tolerance 3 would survive removing all 3 classes\n"
+
+
 def test_partition_trial_exhaustion_exit_code(capsys, tmp_path):
     cfg = tmp_path / "twelve.json"
     assert run_cli(capsys, "gen", "line", "--n", "12", "--out", str(cfg))[0] == 0
@@ -265,11 +281,13 @@ def test_depth_blocks_mode(capsys, tmp_path):
         "depth", str(cfg), "--center", "1/2,1/2", "--blocks", "0,1;2,3",
     )
     assert record["depth"] == 1
-    code, _, err = run_cli(
-        capsys, "depth", str(cfg), "--center", "1/2,1/2", "--blocks", "0,1;2"
-    )
-    assert code == 2
-    assert "cover" in err
+    # An empty --blocks covers no point: invalid, not a point-depth run.
+    for blocks in ("0,1;2", ""):
+        code, out, err = run_cli(
+            capsys, "depth", str(cfg), "--center", "1/2,1/2", "--blocks", blocks
+        )
+        assert (code, out) == (2, "")
+        assert "cover" in err
 
 
 def test_depth_bad_center_is_invalid(capsys, tmp_path):

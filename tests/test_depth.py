@@ -19,9 +19,9 @@ from tverberg.engine import random_partition
 from tverberg.gen import uniform_ball
 from tverberg.geometry import PointConfig, make_config, side_counts
 from tverberg.lift import lift_partition
-from tverberg.limits import BudgetExceeded
 from tverberg.linalg import row_basis
 from tverberg.partition import Partition
+from tverberg.verify import BudgetExceeded
 
 from conftest import depth_1d, random_int_config
 
@@ -192,6 +192,9 @@ def test_block_depth_requires_cover():
         block_depth(cfg, [[0]], (0,))
     with pytest.raises(ValueError):
         block_depth(cfg, [[0, 1], [1]], (0,))
+    for out_of_range in ([[0], [1, 2]], [[0, 1], [-1]]):
+        with pytest.raises(ValueError, match="out of range"):
+            block_depth(cfg, out_of_range, (0,))
 
 
 def test_depth_matches_oracle_on_every_subset():

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 from tverberg.engine import certified_partition
 from tverberg.gen import line_points, uniform_ball
 from tverberg.geometry import PointConfig
-from tverberg.lift import lift_partition
-from tverberg.limits import BudgetExceeded
-from tverberg.lp import hulls_intersect
+from tverberg.lift import lift_partition, recover_common_point
+from tverberg.lp import ConvexWitness, hulls_intersect
 from tverberg.partition import Partition
+from tverberg.plot import render_svg
 from tverberg import verify
 from tverberg.verify import (
     EXHAUSTIVE,
     LIFTED,
+    BudgetExceeded,
     ReayReport,
     ToleranceReport,
     colored_tolerance,
@@ -177,6 +178,55 @@ def test_colored_requires_rainbow_partition():
         colored_tolerance(cfg, lopsided)
 
 
+@pytest.mark.parametrize(
+    "compute, knob",
+    [
+        (lambda cfg, p: colored_tolerance(cfg, p, method=LIFTED, t_cap=0), "t_cap"),
+        (lambda cfg, p: colored_tolerance(cfg, p, method=LIFTED, budget=1), "budget"),
+        (lambda cfg, p: reay_tolerance(cfg, p, 2, budget=1), "budget"),
+    ],
+    ids=["colored-t_cap", "colored-budget", "reay-budget"],
+)
+def test_lifted_route_rejects_exhaustive_knobs(compute, knob):
+    # The lifted route has no cap or budget; a knob it would drop is refused.
+    points = tuple((F(v),) for v in (0, 1, 2, 3))
+    cfg = PointConfig(dim=1, points=points, colors=(1, 1, 2, 2))
+    p = Partition(r=2, labels=(1, 2, 2, 1))
+    with pytest.raises(ValueError, match=f"^{knob} applies to the exhaustive"):
+        compute(cfg, p)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda cfg, p: lift_partition(cfg, p),
+        lambda cfg, p: recover_common_point(cfg, p, ConvexWitness(((0, F(1)),))),
+        lambda cfg, p: tolerance_by_lifted_depth(cfg, p),
+        lambda cfg, p: tolerance_exhaustive(cfg, p),
+        lambda cfg, p: colored_tolerance(cfg, p),
+        lambda cfg, p: reay_tolerance(cfg, p, 2),
+        lambda cfg, p: render_svg(cfg, partition=p),
+    ],
+    ids=[
+        "lift_partition",
+        "recover_common_point",
+        "tolerance_by_lifted_depth",
+        "tolerance_exhaustive",
+        "colored_tolerance",
+        "reay_tolerance",
+        "render_svg",
+    ],
+)
+def test_every_entry_point_rejects_a_wrong_label_count(check):
+    points = tuple((F(x), F(y)) for x, y in [(0, 0), (4, 0), (0, 4), (4, 4)])
+    cfg = PointConfig(dim=2, points=points, colors=(1, 1, 2, 2))
+    for labels in [(1, 2, 1), (1, 2, 1, 2, 1)]:
+        with pytest.raises(
+            ValueError, match="^partition labels a different number of points$"
+        ):
+            check(cfg, Partition(r=2, labels=labels))
+
+
 def test_reay_minimum_over_tuples():
     cfg = random_int_config(9, 1, seed=8)
     p = Partition(r=3, labels=(1, 2, 3, 1, 2, 3, 1, 2, 3))
@@ -303,7 +353,7 @@ def _naive_scan(cfg, parts, classes, t_cap, budget, spent, scan):
         level = comb(len(units), s)
         if spent + level > budget:
             raise BudgetExceeded(
-                spent + level, budget, f"{scan} at size {s} needs {level} more hull queries"
+                spent + level, budget, f"{scan} at size {s} has {level} more removal sets"
             )
         spent += level
         for removal in combinations(sorted(units), s):
