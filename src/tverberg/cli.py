@@ -57,6 +57,7 @@ from .verify import (
     EXHAUSTIVE,
     LIFTED,
     BudgetExceeded,
+    check_budget,
     colored_tolerance,
     reay_tolerance,
     tolerance_by_lifted_depth,
@@ -242,7 +243,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.budget is None or method == EXHAUSTIVE,
         "--budget applies to the exhaustive method only",
     )
-    _require(args.budget is None or args.budget >= 1, "--budget must be positive")
+    check_budget(args.budget, "--budget")
     _require(args.k is None or args.mode == "reay", "--k applies to reay mode only")
     cfg = load_config(args.input)
     p = _load_partition(args.partition)

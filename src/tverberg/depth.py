@@ -44,7 +44,8 @@ search, recursing on them: an infinitesimal tilt keeps every strictly-signed
 point on its side and re-plays the minimization among the boundary points.
 Realized witnesses are exact: a tilt by 1/K with integer K larger than any
 inner product cannot flip a strict sign, so nested tilts collapse to a
-single integer normal.
+single integer normal.  A caller that asks only whether the depth reaches
+``at_least`` lets the search stop at the first side touching fewer blocks.
 """
 
 from __future__ import annotations
@@ -139,11 +140,13 @@ def _search(
     labels: Sequence[int],
     hit: frozenset[int],
     counter: list[int],
+    stop: int = 0,
 ) -> tuple[int, IntVec | None]:
     """Minimum number of newly hit blocks over all tilt-resolved directions.
 
     Returns the optimum together with an integer normal realizing it, or
-    (0, None) when there is nothing left to separate.
+    (0, None) when there is nothing left to separate; the first side with
+    at most ``stop`` new blocks is returned at once, an upper bound.
     """
     if not items:
         return 0, None
@@ -194,7 +197,7 @@ def _search(
                 top = _lift_normal(z if sign > 0 else tuple(-x for x in z), basis)
                 strict = [items[i][1] for i, s in enumerate(dots) if s != 0]
                 best_normal = _combine(top, sub_normal, strict)
-                if best_val == 0:
+                if best_val <= stop:
                     return best_val, best_normal
     if best_val is None:
         raise AssertionError("spanning set produced no candidate hyperplane")
@@ -321,7 +324,7 @@ def _blocks_to_labels(cfg: PointConfig, blocks: Sequence[Sequence[int]]) -> list
 
 
 def _depth_impl(
-    cfg: PointConfig, labels: Sequence[int], c: Vector, mode: str
+    cfg: PointConfig, labels: Sequence[int], c: Vector, mode: str, at_least: int | None
 ) -> DepthCertificate:
     if len(c) != cfg.dim:
         raise ValueError("query point dimension does not match the configuration")
@@ -329,7 +332,8 @@ def _depth_impl(
     nonzero = [(i, w) for i, w in rows if any(w)]
     prehit = frozenset(labels[i] for i, w in rows if not any(w))
     counter = [0]
-    value, normal = _search(nonzero, labels, prehit, counter)
+    stop = 0 if at_least is None else max(0, at_least - 1 - len(prehit))
+    value, normal = _search(nonzero, labels, prehit, counter, stop)
     total = len(prehit) + value
     if normal is None:
         normal = tuple(1 if t == 0 else 0 for t in range(cfg.dim))
@@ -351,17 +355,21 @@ def _depth_impl(
     )
 
 
-def depth(cfg: PointConfig, c: Vector) -> DepthCertificate:
-    """Exact half-space depth of c in the configuration, with witness."""
-    return _depth_impl(cfg, list(range(len(cfg.points))), c, "point-depth")
+def depth(cfg: PointConfig, c: Vector, at_least: int | None = None) -> DepthCertificate:
+    """Exact half-space depth of c in the configuration, with witness; a depth
+    below ``at_least`` may come back as the first side found with fewer points."""
+    return _depth_impl(cfg, list(range(len(cfg.points))), c, "point-depth", at_least)
 
 
 def block_depth(
-    cfg: PointConfig, blocks: Sequence[Sequence[int]], c: Vector
+    cfg: PointConfig,
+    blocks: Sequence[Sequence[int]],
+    c: Vector,
+    at_least: int | None = None,
 ) -> DepthCertificate:
     """Least number of distinct blocks a closed half-space through c touches."""
     labels = _blocks_to_labels(cfg, blocks)
-    return _depth_impl(cfg, labels, c, "block-depth")
+    return _depth_impl(cfg, labels, c, "block-depth", at_least)
 
 
 def depth_oracle(cfg: PointConfig, c: Vector, budget: int | None = None) -> int:
@@ -372,9 +380,7 @@ def depth_oracle(cfg: PointConfig, c: Vector, budget: int | None = None) -> int:
     unit meets: the hull of the points meets {c} exactly when it holds c.
     A removal that misses the support of a hull witness found earlier
     leaves c in the hull, so it is skipped without an LP; every other
-    removal costs one LP feasibility call.  The budget charges every
-    removal, skipped or not, and the scan refuses with BudgetExceeded
-    rather than start a removal size it cannot finish.
+    removal costs one LP feasibility call, under the scan's budget.
     """
     from .verify import _removal_scan
 

@@ -7,7 +7,9 @@ substream (seed, i); reruns with the same seed reproduce the exact
 same partitions and certificates.
 
 ``unreachable`` owns the ceilings no partition can beat; the searches
-return None for those targets without sampling.
+return None for those targets without sampling.  A trial asks its verify
+function only whether it reaches the target (``at_least``), so a failing
+trial's depth search stops at the first half-space that refutes it.
 """
 
 from __future__ import annotations
@@ -109,13 +111,9 @@ def certified_partition(
     max_trials: int = DEFAULT_TRIALS,
 ) -> Optional[Tuple[Partition, ToleranceReport]]:
     """First random partition (over max_trials seeded trials) whose
-    certified tolerance reaches t_target, or None.
-
-    A target that ``unreachable`` refuses returns None without sampling.
-    """
-    return _certified_labeling(
-        cfg, r, t_target, seed, max_trials, lambda p: tolerance_by_lifted_depth(cfg, p)
-    )
+    certified tolerance reaches t_target, or None."""
+    certify = lambda p: tolerance_by_lifted_depth(cfg, p, at_least=t_target)
+    return _certified_labeling(cfg, r, t_target, seed, max_trials, certify)
 
 
 def certified_colored_partition(
@@ -129,7 +127,6 @@ def certified_colored_partition(
 
     Every color class must have the same size r >= 2; each trial sends
     each class onto the r parts by an independent uniform permutation.
-    A target that ``unreachable`` refuses returns None without sampling.
     """
     classes = cfg.color_classes()
     sizes = {len(members) for members in classes.values()}
@@ -155,7 +152,7 @@ def certified_colored_partition(
         return Partition(r, tuple(labels))
 
     return _first_certified(
-        draw, lambda p: colored_tolerance(cfg, p), t_target, seed, max_trials
+        draw, lambda p: colored_tolerance(cfg, p, at_least=t_target), seed, max_trials
     )
 
 
@@ -168,10 +165,9 @@ def certified_reay_partition(
     max_trials: int = DEFAULT_TRIALS,
 ) -> Optional[Tuple[Partition, ReayReport]]:
     """Random partitions until every k of the r hulls tolerates t_target
-    removals, or None.  Same refusal as certified_partition."""
-    return _certified_labeling(
-        cfg, r, t_target, seed, max_trials, lambda p: reay_tolerance(cfg, p, k), k
-    )
+    removals, or None."""
+    certify = lambda p: reay_tolerance(cfg, p, k, at_least=t_target)
+    return _certified_labeling(cfg, r, t_target, seed, max_trials, certify, k)
 
 
 def sign_assignment(
@@ -222,25 +218,22 @@ def _certified_labeling(
         raise ValueError("k must lie in 2..r")
     if unreachable(cfg, t_target, r) is not None:
         return None
-    n = len(cfg.points)
-    return _first_certified(
-        lambda s: random_partition(n, r, s), certify, t_target, seed, max_trials
-    )
+    draw = lambda s: random_partition(len(cfg.points), r, s)
+    return _first_certified(draw, certify, seed, max_trials)
 
 
 def _first_certified(
     draw: Callable[[int], Partition],
-    certify: Callable[[Partition], Report],
-    t_target: int,
+    certify: Callable[[Partition], Optional[Report]],
     seed: int,
     max_trials: int,
 ) -> Optional[Tuple[Partition, Report]]:
-    """The first trial partition, drawn from substream (seed, i), whose
-    certified tolerance reaches t_target, with its report; or None."""
+    """The first trial partition, drawn from substream (seed, i), that
+    ``certify`` does not refute (None), with its report; or None."""
     for i in range(max_trials):
         p = draw(substream_seed(seed, i))
         report = certify(p)
-        if report.tolerance >= t_target:
+        if report is not None:
             return p, report
     return None
 

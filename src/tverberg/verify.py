@@ -15,7 +15,9 @@ or a whole color class in the colored form; the k-of-r form is the plain
 tolerance of each k-part sub-partition.  The same scan serves
 ``depth.depth_oracle``: the query point is one more part, in no unit.
 A scan's budget counts the removal sets it walks, skipped ones included,
-and the scan raises ``BudgetExceeded`` before a size that would overrun it.
+and the scan raises ``BudgetExceeded`` before a size that would overrun it;
+``check_budget`` refuses a budget below one.  Given ``at_least``, a function
+returns None for a tolerance below it; the lifted route then stops early.
 """
 
 from __future__ import annotations
@@ -48,6 +50,13 @@ class BudgetExceeded(RuntimeError):
         )
         self.required = required
         self.budget = budget
+
+
+def check_budget(budget: Optional[int], name: str = "budget") -> int:
+    """The budget, DEFAULT_BUDGET for None; a budget below one is refused."""
+    if budget is not None and budget < 1:
+        raise ValueError(f"{name} must be positive")
+    return DEFAULT_BUDGET if budget is None else budget
 
 
 @dataclass(frozen=True)
@@ -94,27 +103,33 @@ class ToleranceReport:
 
 
 def _lifted_report(
-    cfg: PointConfig, p: Partition, colors: Optional[Sequence[int]] = None
-) -> ToleranceReport:
+    cfg: PointConfig,
+    p: Partition,
+    colors: Optional[Sequence[int]] = None,
+    at_least: Optional[int] = None,
+) -> Optional[ToleranceReport]:
     """The lifted route, as tolerance_by_lifted_depth describes it; with
     ``colors`` (one id per point) the unit is a color class, and the lifted
     points of a class form one block of a block-depth computation.
     """
     lifted_cfg = lift_partition(cfg, p)
     origin = (0,) * lifted_cfg.dim
+    bound = None if at_least is None else at_least + 1
     if colors is None:
         unit_of = range(len(cfg.points))
-        cert = depth(lifted_cfg, origin)
+        cert = depth(lifted_cfg, origin, bound)
     else:
         unit_of = colors
         blocks = [
             [j for j, c in enumerate(unit_of) if c == color]
             for color in sorted(set(colors))
         ]
-        cert = block_depth(lifted_cfg, blocks, origin)
+        cert = block_depth(lifted_cfg, blocks, origin, bound)
     removal = sorted({unit_of[j] for j in cert.inside})
     if len(removal) != cert.depth:
         raise AssertionError("lifted witness does not match certified depth")
+    if bound is not None and cert.depth < bound:
+        return None
     common = None
     if cert.depth >= 1:
         witness = origin_in_hull(lifted_cfg)
@@ -146,8 +161,7 @@ def _removal_scan(
     charged on top of ``spent``; returns the report and the new amount
     spent.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
+    budget = check_budget(budget)
     units = {i: [i] for i in range(len(cfg.points))} if classes is None else classes
     # Sets of units are bitmasks: bit b stands for the b-th unit in
     # sorted order, and bit_of maps a point to its unit's bit.
@@ -211,14 +225,17 @@ def _removal_scan(
     return report, spent
 
 
-def tolerance_by_lifted_depth(cfg: PointConfig, p: Partition) -> ToleranceReport:
+def tolerance_by_lifted_depth(
+    cfg: PointConfig, p: Partition, at_least: Optional[int] = None
+) -> Optional[ToleranceReport]:
     """Tolerance of the partition via origin depth in the lifted configuration.
 
     The witness removal is the set of source points whose lifted image
     lies in the depth certificate's half-space; removing them destroys
-    every common point of the part hulls.
+    every common point of the part hulls.  A tolerance below ``at_least``
+    returns None; any other report is the same as without it.
     """
-    return _lifted_report(cfg, p)
+    return _lifted_report(cfg, p, at_least=at_least)
 
 
 def tolerance_exhaustive(
@@ -236,10 +253,8 @@ def tolerance_exhaustive(
     t_cap + 1 and may return t_cap with witness_removal None.
 
     A removal set that misses the support (the points of nonzero weight)
-    of a common point found earlier in the scan leaves that point in
-    every hull, so it is skipped without a query.  The budget still
-    charges every removal set, skipped or not: the scan refuses up front
-    (per size level) when the level would exceed it.
+    of a common point found earlier leaves that point in every hull, so
+    it is skipped without a query; the budget still charges it.
     """
     p.check(cfg)
     return _removal_scan(cfg, p.parts(), t_cap=t_cap, budget=budget)[0]
@@ -251,7 +266,8 @@ def colored_tolerance(
     method: str = LIFTED,
     t_cap: Optional[int] = None,
     budget: Optional[int] = None,
-) -> ToleranceReport:
+    at_least: Optional[int] = None,
+) -> Optional[ToleranceReport]:
     """Class-removal tolerance of a rainbow partition.
 
     Each color class must have exactly one point in every part.  The
@@ -272,13 +288,13 @@ def colored_tolerance(
         for name, knob in (("t_cap", t_cap), ("budget", budget)):
             if knob is not None:
                 raise ValueError(f"{name} applies to the exhaustive method only")
-        return _lifted_report(cfg, p, colors=cfg.colors)
+        return _lifted_report(cfg, p, cfg.colors, at_least)
     if method != EXHAUSTIVE:
         raise ValueError(f"unknown method {method!r}")
     report, _ = _removal_scan(
         cfg, p.parts(), classes, t_cap, budget, scan="class-removal scan"
     )
-    return report
+    return None if at_least is not None and report.tolerance < at_least else report
 
 
 @dataclass(frozen=True)
@@ -306,7 +322,8 @@ def reay_tolerance(
     k: int,
     method: str = LIFTED,
     budget: Optional[int] = None,
-) -> ReayReport:
+    at_least: Optional[int] = None,
+) -> Optional[ReayReport]:
     """Largest t such that every k of the r part hulls share a point after
     any removal of at most t points.
 
@@ -314,7 +331,8 @@ def reay_tolerance(
     part subsets, each taken on the sub-configuration of its parts'
     points (removing other points cannot affect it) with the parts
     relabelled 1..k in order; witnesses are mapped back to the original
-    indices.  The exhaustive scans share one budget.
+    indices.  The exhaustive scans share one budget.  With ``at_least``,
+    the first part subset whose tolerance is below it returns None.
     """
     p.check(cfg)
     if not 2 <= k <= p.r:
@@ -339,9 +357,11 @@ def reay_tolerance(
                 scan=f"removal scan for parts {chosen}",
             )
         elif members:
-            report = _lifted_report(sub_cfg, sub_p)
+            report = _lifted_report(sub_cfg, sub_p, at_least=at_least)
         else:  # nothing to lift: empty hulls never meet
             report = ToleranceReport(-1, LIFTED, "points", (), None, None)
+        if report is None or (at_least is not None and report.tolerance < at_least):
+            return None
         removal = tuple(members[j] for j in report.witness_removal)
         results.append((chosen, replace(report, witness_removal=removal)))
     overall = min(report.tolerance for _, report in results)

@@ -361,3 +361,30 @@ def test_search_matches_per_candidate_reference(case):
     got = _search(items, labels, hit, counter)
     assert got == _naive_search(items, labels, hit, naive_counter)
     assert counter == naive_counter
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cutoff_is_exact_at_or_above_at_least_and_a_refuting_side_below(data):
+    # With at_least=m the search may stop at the first side touching fewer
+    # than m blocks; a depth of at least m must come back field for field.
+    dim = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(1, 9))
+    coord = st.builds(F, st.integers(-4, 4), st.integers(1, 2))
+    points = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+    cfg = PointConfig(dim=dim, points=tuple(points))
+    c = data.draw(st.tuples(*[coord] * dim))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
+    m = data.draw(st.integers(0, n + 1))
+    for full, cut, unit_of in (
+        (depth(cfg, c), depth(cfg, c, at_least=m), list(range(n))),
+        (block_depth(cfg, blocks, c), block_depth(cfg, blocks, c, at_least=m), labels),
+    ):
+        if full.depth >= m:
+            assert cut == full
+        else:
+            assert full.depth <= cut.depth < m
+            assert len({unit_of[i] for i in cut.inside}) == cut.depth
+            assert cut.witness.normal != (0,) * dim
+            assert all(cut.witness.contains(cfg.points[i]) for i in cut.inside)

@@ -18,7 +18,14 @@ from tverberg.engine import (
 )
 from tverberg.gen import colored_classes, line_points, uniform_ball
 from tverberg.geometry import PointConfig
-from tverberg.verify import tolerance_exhaustive
+from tverberg.partition import Partition
+from tverberg.rng import SplitMix64, substream_seed
+from tverberg.verify import (
+    colored_tolerance,
+    reay_tolerance,
+    tolerance_by_lifted_depth,
+    tolerance_exhaustive,
+)
 
 F = Fraction
 
@@ -172,3 +179,68 @@ def test_sign_assignment_balanced_line_reaches_half():
 def test_sign_assignment_deterministic():
     cfg = uniform_ball(8, 2, radius=5, seed=6)
     assert sign_assignment(cfg, seed=9) == sign_assignment(cfg, seed=9)
+
+
+def _reference_search(draw, certify, t_target, seed, max_trials, refuted):
+    """The search before the decision cutoff: every trial builds its full
+    report, and the first that reaches t_target wins.  ``refuted`` collects
+    the trials that fell short."""
+    for i in range(max_trials):
+        p = draw(substream_seed(seed, i))
+        report = certify(p)
+        if report.tolerance >= t_target:
+            return p, report
+        refuted.append(p)
+    return None
+
+
+def _colored_draw(cfg, r):
+    """The rainbow draw of certified_colored_partition: each class, in
+    color order, onto the parts by one permutation of the trial's stream."""
+    classes = cfg.color_classes()
+
+    def draw(trial_seed):
+        rng = SplitMix64(trial_seed)
+        labels = [0] * len(cfg.points)
+        for color in sorted(classes):
+            perm = rng.permutation(r)
+            for pos, idx in enumerate(classes[color]):
+                labels[idx] = perm[pos]
+        return Partition(r, tuple(labels))
+
+    return draw
+
+
+def test_cutoff_search_matches_the_full_report_reference():
+    # The cutoff only discards reports of trials that miss the target, so
+    # every search returns the same partition and report, certificate
+    # included, as the loop that builds every report in full.
+    refuted, outcomes = [], []
+    for seed in range(3):
+        ball = uniform_ball(24, 2, 1000, seed)
+        for t in range(3, 8):
+            draw = lambda s: random_partition(24, 2, s)
+            want = _reference_search(
+                draw, lambda p: tolerance_by_lifted_depth(ball, p), t, seed, 6, refuted
+            )
+            assert certified_partition(ball, 2, t, seed, max_trials=6) == want
+            outcomes.append(want is None)
+        rainbow = colored_classes(8, 2, dim=2, radius=1000, seed=seed)
+        for t in range(1, 5):
+            want = _reference_search(
+                _colored_draw(rainbow, 2), lambda p: colored_tolerance(rainbow, p),
+                t, seed, 6, refuted,
+            )
+            assert certified_colored_partition(rainbow, t, seed, max_trials=6) == want
+            outcomes.append(want is None)
+        small = uniform_ball(15, 2, 100, seed)
+        for t in range(1, 4):
+            draw = lambda s: random_partition(15, 3, s)
+            want = _reference_search(
+                draw, lambda p: reay_tolerance(small, p, 2), t, seed, 6, refuted
+            )
+            assert certified_reay_partition(small, 3, 2, t, seed, max_trials=6) == want
+            outcomes.append(want is None)
+    # Both outcomes occur, and many trials were refuted along the way.
+    assert set(outcomes) == {True, False}
+    assert len(refuted) > 20

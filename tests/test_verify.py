@@ -495,3 +495,71 @@ def test_lifted_removal_is_the_witness_side_of_the_lift(data):
     assert report.witness_removal == tuple(
         sorted({unit_of[j] for j, q in enumerate(lifted.points) if witness.contains(q)})
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_at_least_returns_none_exactly_below_the_target(data):
+    # Each certifying function, given at_least, returns None exactly when
+    # the full report's tolerance is below it, and that report otherwise.
+    form = data.draw(st.sampled_from(["plain", "colored", "reay"]))
+    method = data.draw(st.sampled_from([LIFTED, EXHAUSTIVE]))
+    dim = data.draw(st.integers(1, 2))
+    r = data.draw(st.integers(2, 3))
+    coord = st.integers(-5, 5).map(F)
+    if form == "colored":
+        classes = data.draw(st.integers(1, 8 // r))
+        n = classes * r
+        colors = tuple(i // r + 1 for i in range(n))
+        labels = [
+            label
+            for _ in range(classes)
+            for label in data.draw(st.permutations(range(1, r + 1)))
+        ]
+    else:
+        n = data.draw(st.integers(1, 8))
+        colors = None
+        labels = data.draw(st.lists(st.integers(1, r), min_size=n, max_size=n))
+    points = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+    cfg = PointConfig(dim=dim, points=tuple(points), colors=colors)
+    p = Partition(r=r, labels=tuple(labels))
+    k = data.draw(st.integers(2, r))
+    at_least = data.draw(st.integers(-1, 4))
+    if form == "plain":  # the lifted route only: tolerance_exhaustive has no at_least
+        compute = lambda **kw: tolerance_by_lifted_depth(cfg, p, **kw)
+    elif form == "colored":
+        compute = lambda **kw: colored_tolerance(cfg, p, method=method, **kw)
+    else:
+        compute = lambda **kw: reay_tolerance(cfg, p, k, method=method, **kw)
+    full = compute()
+    cut = compute(at_least=at_least)
+    assert cut == (None if full.tolerance < at_least else full)
+
+
+def test_check_budget_refuses_below_one():
+    assert verify.check_budget(None) == verify.DEFAULT_BUDGET
+    assert verify.check_budget(1) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            verify.check_budget(bad)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_scans_refuse_a_budget_below_one_as_invalid(budget):
+    # A budget below one is invalid input, not a scan that ran out.
+    from tverberg.depth import depth_oracle
+
+    cfg = line_points(6)
+    p = Partition(2, (1, 2) * 3)
+    calls = [
+        lambda: tolerance_exhaustive(cfg, p, budget=budget),
+        lambda: colored_tolerance(
+            PointConfig(1, cfg.points, (1, 1, 2, 2, 3, 3)), p,
+            method=EXHAUSTIVE, budget=budget,
+        ),
+        lambda: reay_tolerance(cfg, p, 2, method=EXHAUSTIVE, budget=budget),
+        lambda: depth_oracle(cfg, (F(0),), budget=budget),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="budget must be positive"):
+            call()
