@@ -26,18 +26,20 @@ cannot beat the best value so far is pruned before anything else is done.
 At rank 1 the one subset is empty and its normal is the basis vector, so
 the two candidates are the two directions of the line.
 
-At rank 3, which covers every d=2, r=2 lift and every 3-D query, the side
-counts come from an angular sweep (Rousseeuw & Ruts, AS 307, 1996).  The
-subsets are pairs, and the planes through the first point a of a pair form a
-pencil: projected exactly onto the quotient plane by a, the points are
-sorted once by exact integer angle, and two windows rotating with the plane
-give the number of new blocks strictly on each side of every plane of the
-pencil, so a pencil costs O(M log M) rather than M dot products for each of
-its up to M planes.  A plane gets dot products only when one of its sides
-survives the prune; they recount both sides exactly, and a disagreement
-raises AssertionError.  The sweep changes no candidate, order or tie-break:
-``candidate_count`` still counts every oriented hyperplane examined, pruned
-or not, recursion included.
+At rank 3, which covers every d=2, r=2 lift and every 3-D query, the
+candidates and their side counts come from an angular sweep (Rousseeuw &
+Ruts, AS 307, 1996).  The subsets are pairs, and the planes through the
+first point a of a pair form a pencil: projected exactly onto the quotient
+plane by a, each plane of the pencil is one line through the origin, whose
+smallest item index gives its first spanning pair.  The projected points
+are sorted once by exact integer angle keys, and two windows rotating with
+the plane give the number of new blocks strictly on each side of every
+plane of the pencil, so a pencil costs O(M log M) rather than M dot
+products for each of its up to M planes.  A plane gets its normal and dot
+products only when one of its sides survives the prune; they recount both
+sides exactly, and a disagreement raises AssertionError.  The sweep changes
+no candidate, order or tie-break: ``candidate_count`` still counts every
+oriented hyperplane examined, pruned or not, recursion included.
 
 Points lying exactly on a candidate hyperplane are resolved by the same
 search, recursing on them: an infinitesimal tilt keeps every strictly-signed
@@ -51,7 +53,6 @@ single integer normal.  A caller that asks only whether the depth reaches
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -63,12 +64,14 @@ from .linalg import (
     clear_denominators,
     dot,
     hyperplane_normals,
+    primitive,
     row_basis,
     scalar_to_str,
     vec_sub,
 )
 
 IntVec = tuple[int, ...]
+Ray = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -154,28 +157,32 @@ def _search(
     k = len(basis)
     coords = [tuple(_idot(q, w) for q in basis) for _, w in items]
 
-    fresh: list[int | None] | None = None
     if k == 3:
-        # Side counts come from a sweep of each pencil; dense label ids
-        # index its window counts, and None marks an already hit block.
+        # Planes and side counts come from a sweep of each pencil; dense
+        # label ids index its window counts, and None marks a hit block.
         dense: dict[int, int] = {}
         fresh = [
             None if labels[idx] in hit else dense.setdefault(labels[idx], len(dense))
             for idx, _ in items
         ]
-    pencil, sides = -1, []
+        candidates = _pencil_planes(coords, fresh)
+    else:
+        candidates = _distinct_normals(coords, k)
     best_val: int | None = None
     best_normal: IntVec | None = None
-    for subset, z in _distinct_normals(coords, k):
+    for subset, found in candidates:
         counter[0] += 2
         swept = None
-        if fresh is not None:
-            if subset[0] != pencil:
-                pencil = subset[0]
-                sides = _pencil_sides(coords, fresh, pencil)
-            swept = sides[subset[1]]  # (positive side, negative side)
+        if k == 3:
+            swept = found  # (positive side, negative side)
             if best_val is not None and min(swept) >= best_val:
                 continue  # both sides pruned, as their dot products would show
+            (a1, a2, a3), (b1, b2, b3) = coords[subset[0]], coords[subset[1]]
+            z = primitive((a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1))
+            if _idot(z, coords[subset[0]]) or _idot(z, coords[subset[1]]):
+                raise AssertionError("kernel vector fails orthogonality")
+        else:
+            z = found
         dots = [sum(map(mul, z, cv)) for cv in coords]
         boundary = [items[i] for i, s in enumerate(dots) if s == 0]
         for sign in (1, -1):
@@ -204,87 +211,89 @@ def _search(
     return best_val, best_normal
 
 
-def _clockwise(u: tuple[int, int], v: tuple[int, int]) -> int:
-    """Negative when v turns counterclockwise from u by less than a half
-    turn, positive when clockwise, 0 when parallel or antiparallel."""
-    return u[1] * v[0] - u[0] * v[1]
+def _angle_order(rays) -> list[Ray]:
+    """Distinct primitive rays sorted by exact angle from the positive x
+    axis: the upper half-plane (angle 0 first), then the lower one (angle pi
+    first), each by the integer key floor(-x * s / y) of its ray or of the
+    ray's negation.  Two slopes of primitive rays with 0 < y1, y2 < s differ
+    by at least 1 / (y1 * y2) > 1 / s, so distinct rays get distinct keys."""
+    s = 1 + max(y * y for _, y in rays)
+    upper = sorted((r for r in rays if r[1] > 0), key=lambda r: -r[0] * s // r[1])
+    lower = sorted((r for r in rays if r[1] < 0), key=lambda r: r[0] * s // -r[1])
+    return [(1, 0)] * ((1, 0) in rays) + upper + [(-1, 0)] * ((-1, 0) in rays) + lower
 
 
-_COUNTERCLOCKWISE = cmp_to_key(_clockwise)
-
-
-def _enter(count: list[int], groups: Sequence[list[int]]) -> int:
-    """Add the labels of the given rays to a window's label counts; return
-    how many of them were not in the window yet."""
-    gained = 0
-    for group in groups:
-        for label in group:
-            gained += not count[label]
-            count[label] += 1
-    return gained
-
-
-def _leave(count: list[int], groups: Sequence[list[int]]) -> int:
-    """Remove the labels of the given rays from a window's label counts;
-    return how many of them left the window entirely."""
-    lost = 0
-    for group in groups:
-        for label in group:
-            count[label] -= 1
-            lost += not count[label]
-    return lost
-
-
-def _pencil_sides(
-    coords: Sequence[IntVec], fresh: Sequence[int | None], pencil: int
-) -> list[tuple[int, int] | None]:
-    """Per item j, the number of new labels on the open positive and on the
-    open negative side of the plane with normal coords[pencil] x coords[j]
-    (None where that cross product vanishes); ``fresh`` holds each item's
+def _pencil_planes(coords: Sequence[IntVec], fresh: Sequence[int | None]):
+    """((i, j), swept) per candidate plane of the rank-3 coordinates, in the
+    order of ``_distinct_normals(coords, 3)``; ``swept`` holds the number of
+    new labels on the open positive and on the open negative side of the
+    plane with normal coords[i] x coords[j], and ``fresh`` each item's
     label, or None when its block is already hit.
 
-    The planes through a = coords[pencil] form a pencil.  Eliminating a
-    nonzero coordinate c of a projects each w exactly onto the quotient
-    plane, to a[c] * w - w[c] * a without coordinate c; then
+    The planes through a = coords[i] form a pencil.  Eliminating a nonzero
+    coordinate c of a projects each w exactly onto the quotient plane, to
+    a[c] * w - w[c] * a without coordinate c; then
     det(a, b, w) = a[c] * (-1)^c * cross(Pb, Pw), so after fixing that sign
     by the order of the two kept coordinates, w lies on the positive side of
     a x b exactly when Pw is counterclockwise of Pb within a half turn.
-    The projected directions are sorted once by exact angle, and two
-    windows rotating with the plane count the labels strictly on each side.
+    Each plane of the pencil is one projected line (a ray and its antipode),
+    and (i, j) is its first spanning pair exactly when j is the smallest
+    index on that line and no item before i is parallel to a; if one is,
+    it spanned every plane of the pencil first.  The projected directions
+    are sorted once by exact angle, and two windows rotating with the plane
+    count the labels strictly on each side (``_window_counts``).
     """
-    a = coords[pencil]
-    c = next(t for t in range(3) if a[t])
-    c1, c2 = (t for t in range(3) if t != c)
-    if (a[c] < 0) != (c == 1):
-        c1, c2 = c2, c1
-    ac, a1, a2 = a[c], a[c1], a[c2]
-    rays: dict[tuple[int, int], list[int]] = {}
-    ray_of: list[tuple[int, int] | None] = []
-    for w, label in zip(coords, fresh):
-        x = ac * w[c1] - w[c] * a1
-        y = ac * w[c2] - w[c] * a2
-        if not (x or y):
-            ray_of.append(None)
-            continue
-        g = gcd(x, y)
-        ray = (x // g, y // g)
-        ray_of.append(ray)
-        group = rays.setdefault(ray, [])
-        if label is not None:
-            group.append(label)
-    # Angle order from the positive x axis: the upper half-plane (with
-    # angle 0) first, then the lower one (with angle pi).
-    upper = [ray for ray in rays if ray[1] > 0 or (ray[1] == 0 and ray[0] > 0)]
-    lower = [ray for ray in rays if ray[1] < 0 or (ray[1] == 0 and ray[0] < 0)]
-    order = sorted(upper, key=_COUNTERCLOCKWISE) + sorted(lower, key=_COUNTERCLOCKWISE)
+    for i in range(len(coords) - 1):
+        a = coords[i]
+        c = next(t for t in range(3) if a[t])
+        c1, c2 = (t for t in range(3) if t != c)
+        if (a[c] < 0) != (c == 1):
+            c1, c2 = c2, c1
+        ac, a1, a2 = a[c], a[c1], a[c2]
+        rays: dict[Ray, list[int]] = {}
+        first: dict[Ray, tuple[int, Ray]] = {}
+        for h, (w, label) in enumerate(zip(coords, fresh)):
+            x = ac * w[c1] - w[c] * a1
+            y = ac * w[c2] - w[c] * a2
+            if not (x or y):
+                if h < i:
+                    break  # an earlier parallel item spanned the pencil
+                continue
+            g = gcd(x, y)
+            ray = (x // g, y // g)
+            group = rays.setdefault(ray, [])
+            if label is not None:
+                group.append(label)
+            # The line's first item, keyed by the ray of its upper half.
+            line = ray if y > 0 or (y == 0 and x > 0) else (-ray[0], -ray[1])
+            first.setdefault(line, (h, ray))
+        else:  # no item before i is parallel to a
+            # first.values() runs in index order, as the pair walk does.
+            planes = [(j, ray) for j, ray in first.values() if j > i]
+            if planes:
+                counts = _window_counts(rays, len(fresh))
+                for j, ray in planes:
+                    yield (i, j), counts[ray]
+
+
+def _window_counts(rays: dict[Ray, list[int]], size: int) -> dict[Ray, tuple[int, int]]:
+    """Per ray, the number of distinct labels (ids below ``size``) on the
+    rays strictly counterclockwise of it within a half turn, and on those
+    strictly clockwise of it within a half turn."""
+    order = _angle_order(rays)
     turns = len(order)
     dirs = order + order
-    labs = [rays[ray] for ray in dirs]
+    # Labels of the doubled ray list; ray p's are flat[start[p]:start[p + 1]].
+    flat: list[int] = []
+    start = [0]
+    for ray in dirs:
+        flat += rays[ray]
+        start.append(len(flat))
     # Two windows [lo, hi) of the doubled ray list, each with how often
     # every label occurs in it and how many distinct labels that makes.
-    pos_count, neg_count = [0] * len(fresh), [0] * len(fresh)
+    pos_count, neg_count = [0] * size, [0] * size
     pos_lo = pos_hi = pos_size = neg_lo = neg_hi = neg_size = 0
-    counts: dict[tuple[int, int], tuple[int, int]] = {}
+    counts: dict[Ray, tuple[int, int]] = {}
     for t, (x, y) in enumerate(order):
         # Rays t+1 .. opposite-1 turn less than half a turn from ray t; the
         # antipode of ray t, if present, sits at opposite.
@@ -298,13 +307,21 @@ def _pencil_sides(
         behind = opposite
         if behind < end and x * dirs[behind][1] == y * dirs[behind][0]:
             behind += 1  # the antipode lies on the plane
-        pos_size += _enter(pos_count, labs[pos_hi:opposite])
-        pos_size -= _leave(pos_count, labs[pos_lo:t + 1])
-        neg_size += _enter(neg_count, labs[neg_hi:end])
-        neg_size -= _leave(neg_count, labs[neg_lo:behind])
+        for label in flat[start[pos_hi]:start[opposite]]:
+            pos_size += not pos_count[label]
+            pos_count[label] += 1
+        for label in flat[start[pos_lo]:start[t + 1]]:
+            pos_count[label] -= 1
+            pos_size -= not pos_count[label]
+        for label in flat[start[neg_hi]:start[end]]:
+            neg_size += not neg_count[label]
+            neg_count[label] += 1
+        for label in flat[start[neg_lo]:start[behind]]:
+            neg_count[label] -= 1
+            neg_size -= not neg_count[label]
         pos_lo, pos_hi, neg_lo, neg_hi = t + 1, opposite, behind, end
         counts[order[t]] = (pos_size, neg_size)
-    return [None if ray is None else counts[ray] for ray in ray_of]
+    return counts
 
 
 def _blocks_to_labels(cfg: PointConfig, blocks: Sequence[Sequence[int]]) -> list[int]:

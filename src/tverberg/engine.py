@@ -196,7 +196,10 @@ def sign_assignment(
                 tuple(s * x for x in pt) for s, pt in zip(signs, cfg.points)
             ),
         )
-        tolerance = depth(signed, origin).depth - 1
+        # Only a depth of at least best + 2 improves the score, so a trial
+        # may stop at the first half-space that keeps it below that.
+        at_least = None if best is None else best[1] + 2
+        tolerance = depth(signed, origin, at_least=at_least).depth - 1
         if best is None or tolerance > best[1]:
             best = (SignAssignment(signs), tolerance)
     assert best is not None

@@ -264,10 +264,10 @@ def hyperplane_normals(
     its whole subtree.  At a leaf the two non-pivot entries of the reduced
     last row are two maximal minors (Sylvester's identity); after a sign
     fix for the pivot-column order they are two signed cofactors, and the
-    other entries follow by exact integer back-substitution.  For k <= 3
-    every maximal minor is a 2 x 2 one, so the leaf is the closed-form
-    cross product instead.  For k = 1 the one subset is empty, and the
-    kernel of the 0 x 1 matrix is (1,).
+    other entries follow by exact integer back-substitution; at k = 3 that
+    gives the primitive cross product of the pair.  For k = 2 the normal of
+    (a, b) is (-b, a), and for k = 1 the one subset is empty and the kernel
+    of the 0 x 1 matrix is (1,).
     """
     if k < 1 or any(len(r) != k for r in rows):
         raise ValueError("hyperplane_normals expects rows of length k >= 1")
@@ -277,8 +277,6 @@ def hyperplane_normals(
         for i, (a, b) in enumerate(rows):
             if a or b:
                 yield (i,), primitive((-b, a))
-    elif k == 3:
-        yield from _cross_normals(rows)
     else:
         yield from _eliminated_normals(rows, k)
 
@@ -288,25 +286,6 @@ def _checked(vec: tuple[int, ...], subset_rows) -> tuple[int, ...]:
         if sum(map(mul, r, vec)):
             raise AssertionError("kernel vector fails orthogonality")
     return vec
-
-
-def _cross_normals(rows: Sequence[Sequence[int]]):
-    n = len(rows)
-    for i in range(n - 1):
-        a = rows[i]
-        a1, a2, a3 = a
-        if not (a1 or a2 or a3):
-            continue  # a zero row spans nothing with any partner
-        for j in range(i + 1, n):
-            b = rows[j]
-            b1, b2, b3 = b
-            x, y, z = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
-            if not (x or y or z):
-                continue
-            g = gcd(x, y, z)
-            if g > 1:
-                x, y, z = x // g, y // g, z // g
-            yield (i, j), _checked((x, y, z), (a, b))
 
 
 def _eliminated_normals(rows: Sequence[Sequence[int]], k: int):

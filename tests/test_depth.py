@@ -1,15 +1,19 @@
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tverberg.depth import (
+    _angle_order,
     _combine,
     _distinct_normals,
     _idot,
     _lift_normal,
+    _pencil_planes,
     _search,
     block_depth,
     depth,
@@ -361,6 +365,60 @@ def test_search_matches_per_candidate_reference(case):
     got = _search(items, labels, hit, counter)
     assert got == _naive_search(items, labels, hit, naive_counter)
     assert counter == naive_counter
+
+
+# Item 2 is parallel to item 0, so pencil 2 holds no first spanning pair.
+_PARALLEL_FIRST = [(1, 0, 0), (0, 1, 0), (-2, 0, 0), (0, 0, 1), (1, 1, 0), (2, 0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_items())
+@example((list(enumerate(_PARALLEL_FIRST)), [0, 1, 2, 3, 4, 5], frozenset({99})))
+@example((list(enumerate(_PARALLEL_FIRST)), [0, 1, 0, 2, 1, 2], frozenset({2})))
+def test_pencil_planes_match_distinct_normals_and_dot_products(case):
+    # The pencil sweep replaces the pair walk at rank 3: the same first
+    # spanning pairs in the same order, with side counts that dot products
+    # against the pair's cross product confirm.
+    items, labels, hit = case
+    coords = [w for _, w in items]
+    dense = {}
+    fresh = [None if l in hit else dense.setdefault(l, len(dense)) for l in labels]
+    planes = list(_pencil_planes(coords, fresh))
+    assert [pair for pair, _ in planes] == [pair for pair, _ in _distinct_normals(coords, 3)]
+    for (i, j), swept in planes:
+        (a1, a2, a3), (b1, b2, b3) = coords[i], coords[j]
+        z = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        sides = tuple(
+            len({f for w, f in zip(coords, fresh) if f is not None and sign * _idot(z, w) > 0})
+            for sign in (1, -1)
+        )
+        assert swept == sides
+
+
+def _clockwise(u, v):
+    """The comparator the angle sort used before its integer keys: negative
+    when v turns counterclockwise from u by less than a half turn."""
+    return u[1] * v[0] - u[0] * v[1]
+
+
+_coordinate = st.one_of(st.integers(-4, 4), st.integers(-(2**70), 2**70))
+# Consecutive Fibonacci numbers F89..F92: neighbouring slopes differ by
+# only 1 / (y1 * y2), which a key scale below max y^2 cannot resolve.
+_F89, _F90, _F91, _F92 = (1779979416004714189, 2880067194370816120,
+                          4660046610375530309, 7540113804746346429)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_coordinate, _coordinate).filter(any), min_size=1, max_size=12))
+@example([(1, 0), (-1, 0), (0, 1), (0, -1)])
+@example([(2**64 + 1, 2**64), (2**64, 2**64 - 1), (-1, 0), (-(2**64), -(2**64) + 1)])
+@example([(_F91, _F90), (_F90, _F89), (_F92, _F91), (-_F91, -_F90), (-_F92, -_F91), (-_F90, -_F89)])
+def test_angle_keys_order_rays_as_the_comparator(vecs):
+    rays = {(x // gcd(x, y), y // gcd(x, y)) for x, y in vecs}
+    by_angle = cmp_to_key(_clockwise)
+    upper = [r for r in rays if r[1] > 0 or (r[1] == 0 and r[0] > 0)]
+    lower = [r for r in rays if r[1] < 0 or (r[1] == 0 and r[0] < 0)]
+    assert _angle_order(rays) == sorted(upper, key=by_angle) + sorted(lower, key=by_angle)
 
 
 @settings(max_examples=80, deadline=None)

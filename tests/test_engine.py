@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from tverberg.depth import depth
 from tverberg.engine import (
     ColorfulBlockChoice,
     SignAssignment,
@@ -179,6 +180,37 @@ def test_sign_assignment_balanced_line_reaches_half():
 def test_sign_assignment_deterministic():
     cfg = uniform_ball(8, 2, radius=5, seed=6)
     assert sign_assignment(cfg, seed=9) == sign_assignment(cfg, seed=9)
+
+
+def _full_sign_assignment(cfg, seed, max_trials, beaten):
+    """sign_assignment before the decision cutoff: every trial runs the full
+    depth search.  ``beaten`` collects the trials that did not improve."""
+    best = None
+    for i in range(max_trials):
+        rng = SplitMix64(substream_seed(seed, i))
+        signs = tuple(rng.next_sign() for _ in range(len(cfg.points)))
+        signed = PointConfig(
+            dim=cfg.dim,
+            points=tuple(tuple(s * x for x in pt) for s, pt in zip(signs, cfg.points)),
+        )
+        tolerance = depth(signed, (0,) * cfg.dim).depth - 1
+        if best is None or tolerance > best[1]:
+            best = (SignAssignment(signs), tolerance)
+        else:
+            beaten.append(i)
+    return best
+
+
+def test_sign_assignment_matches_the_full_search_reference():
+    # A trial that stops below best + 2 could not have improved the score,
+    # so the cutoff returns the same first best assignment and score.
+    beaten = []
+    for seed in range(4):
+        for n, dim in ((7, 1), (12, 2), (40, 2), (10, 3)):
+            cfg = uniform_ball(n, dim, 1000, seed)
+            want = _full_sign_assignment(cfg, seed, 10, beaten)
+            assert sign_assignment(cfg, seed, max_trials=10) == want
+    assert len(beaten) > 80
 
 
 def _reference_search(draw, certify, t_target, seed, max_trials, refuted):
