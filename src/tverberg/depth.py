@@ -10,35 +10,29 @@ denominators (a positive per-point scaling that preserves every sign), to
 minimizing over nonzero integer directions v the set {w : <v, w> >= 0}.
 The same sign-preserving integer rows re-check the witness, once: the
 points whose row w has <v, w> >= 0 (a point equal to c has w = 0) form its
-closed side, which must touch exactly the certified number of blocks.  The
-minimum is attained in an open cell of the central hyperplane arrangement of
-the w's, and every open cell touches a "vertex" direction orthogonal to some
-spanning subset of size rank-1.  The search writes the w's in coordinates of
-an integer basis of their span (rank k) and enumerates the vertex directions
-with ``linalg.hyperplane_normals``: it walks the (k-1)-subsets depth-first in
-lexicographic order, and each subset prefix shares one fraction-free
-(Bareiss) elimination, so appending a point costs one row reduction against
-the prefix and a linearly dependent prefix prunes its whole subtree.  A leaf
-reads two maximal minors off its reduced last row and recovers the rest of
-the kernel vector by exact back-substitution.  Each hyperplane is examined
-once, in both orientations, at its first spanning subset, and a side that
-cannot beat the best value so far is pruned before anything else is done.
-At rank 1 the one subset is empty and its normal is the basis vector, so
-the two candidates are the two directions of the line.
+closed side, which must touch exactly the certified number of blocks.
 
-At rank 3, which covers every d=2, r=2 lift and every 3-D query, the
-candidates and their side counts come from an angular sweep (Rousseeuw &
-Ruts, AS 307, 1996).  The subsets are pairs, and the planes through the
-first point a of a pair form a pencil: projected exactly onto the quotient
-plane by a, each plane of the pencil is one line through the origin, whose
-smallest item index gives its first spanning pair.  The projected points
-are sorted once by exact integer angle keys, and two windows rotating with
-the plane give the number of new blocks strictly on each side of every
-plane of the pencil, so a pencil costs O(M log M) rather than M dot
-products for each of its up to M planes.  A plane gets its normal and dot
-products only when one of its sides survives the prune; they recount both
-sides exactly, and a disagreement raises AssertionError.  The sweep changes
-no candidate, order or tie-break: ``candidate_count`` still counts every
+The minimum is attained in an open cell of the central hyperplane
+arrangement of the w's, and every open cell touches a "vertex" direction
+orthogonal to some spanning subset of size rank-1.  The search writes the
+w's in coordinates of an integer basis of their span (rank k), and one walk
+enumerates those hyperplanes at every rank k >= 2, each once, in both
+orientations, at its first spanning subset in lexicographic order.  The
+hyperplanes through the span of an independent (k-2)-prefix P form a
+pencil: in the 2-D quotient by span(P) each of them is one line through the
+origin.  The walk visits the prefixes depth-first, and each node takes every
+item one fraction-free (Bareiss) step further, so a dependent prefix prunes
+its subtree and a leaf holds every item's exact image in the quotient, up
+to one common integer factor.  The images are sorted once by exact integer
+angle keys, and two windows rotating with the line count the new blocks
+strictly on each side of every line of the pencil (Rousseeuw & Ruts, AS
+307, 1996): O(M log M) for M items rather than M dot products per
+hyperplane.  At rank 2 the prefix is empty and the one sweep is the planar
+depth algorithm, O(n log n) for n points; at rank 1 the candidates are the
+two directions of the line.  A hyperplane gets its normal, by
+back-substitution through the prefix, and its dot products only when one
+of its sides survives the prune; they recount both sides exactly, and a
+disagreement raises AssertionError.  ``candidate_count`` counts every
 oriented hyperplane examined, pruned or not, recursion included.
 
 Points lying exactly on a candidate hyperplane are resolved by the same
@@ -52,18 +46,18 @@ single integer normal.  A caller that asks only whether the depth reaches
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import HalfSpace, PointConfig
 from .linalg import (
     Vector,
     clear_denominators,
     dot,
-    hyperplane_normals,
     primitive,
     row_basis,
     scalar_to_str,
@@ -108,23 +102,6 @@ def _idot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def _canon(vec: IntVec) -> IntVec:
-    """A primitive vector oriented to a positive leading nonzero entry."""
-    lead = next(x for x in vec if x != 0)
-    return vec if lead > 0 else tuple(-x for x in vec)
-
-
-def _distinct_normals(coords: Sequence[IntVec], k: int):
-    """(first spanning (k-1)-subset, kernel vector) per candidate hyperplane
-    of the rank-k coordinates, in the order those subsets are enumerated."""
-    seen: set[IntVec] = set()
-    for subset, z in hyperplane_normals(coords, k):
-        key = _canon(z)
-        if key not in seen:
-            seen.add(key)
-            yield subset, z
-
-
 def _lift_normal(z: IntVec, basis: Sequence[IntVec]) -> IntVec:
     """The ambient vector with coordinates z in the given row basis."""
     return tuple(_idot(z, column) for column in zip(*basis))
@@ -154,36 +131,23 @@ def _search(
     if not items:
         return 0, None
     basis = row_basis([w for _, w in items])
-    k = len(basis)
     coords = [tuple(_idot(q, w) for q in basis) for _, w in items]
-
-    if k == 3:
-        # Planes and side counts come from a sweep of each pencil; dense
-        # label ids index its window counts, and None marks a hit block.
-        dense: dict[int, int] = {}
-        fresh = [
-            None if labels[idx] in hit else dense.setdefault(labels[idx], len(dense))
-            for idx, _ in items
-        ]
-        candidates = _pencil_planes(coords, fresh)
-    else:
-        candidates = _distinct_normals(coords, k)
+    # Dense label ids index the sweep's window counts; None marks a hit block.
+    dense: dict[int, int] = {}
+    fresh = [
+        None if labels[idx] in hit else dense.setdefault(labels[idx], len(dense))
+        for idx, _ in items
+    ]
     best_val: int | None = None
     best_normal: IntVec | None = None
-    for subset, found in candidates:
+    for subset, swept, pencil in _pencil_walk(coords, fresh):
         counter[0] += 2
-        swept = None
-        if k == 3:
-            swept = found  # (positive side, negative side)
-            if best_val is not None and min(swept) >= best_val:
-                continue  # both sides pruned, as their dot products would show
-            (a1, a2, a3), (b1, b2, b3) = coords[subset[0]], coords[subset[1]]
-            z = primitive((a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1))
-            if _idot(z, coords[subset[0]]) or _idot(z, coords[subset[1]]):
-                raise AssertionError("kernel vector fails orthogonality")
-        else:
-            z = found
+        if best_val is not None and min(swept) >= best_val:
+            continue  # both sides pruned, as their dot products would show
+        z = _normal(pencil, subset)
         dots = [sum(map(mul, z, cv)) for cv in coords]
+        if any(dots[i] for i in subset):
+            raise AssertionError("kernel vector fails orthogonality")
         boundary = [items[i] for i, s in enumerate(dots) if s == 0]
         for sign in (1, -1):
             new = {
@@ -191,7 +155,7 @@ def _search(
                 for (idx, _), s in zip(items, dots)
                 if s * sign > 0
             } - hit
-            if swept is not None and len(new) != swept[sign < 0]:
+            if len(new) != swept[sign < 0]:
                 raise AssertionError("pencil sweep miscounted a side")
             if best_val is not None and len(new) >= best_val:
                 continue
@@ -211,6 +175,151 @@ def _search(
     return best_val, best_normal
 
 
+class _Pencil(NamedTuple):
+    """The hyperplanes through the span of an independent prefix of items.
+
+    ``images`` holds every item's exact image in the 2-D quotient by that
+    span times one common nonzero integer, and ``steps`` the elimination
+    that produced them: per prefix item, its pivot position, its pivot
+    value and its reduced row without the pivot.  ``flip`` picks which of
+    the two orientations of a quotient normal the kernel vector takes.
+    """
+
+    prefix: tuple[int, ...]
+    steps: tuple[tuple[int, int, list[int]], ...]
+    flip: bool
+    images: Sequence[Sequence[int]]
+
+
+def _normal(pencil: _Pencil | None, subset: tuple[int, ...]) -> IntVec:
+    """The primitive kernel vector of the subset's coordinates, sign
+    included, as ``linalg.kernel_vector`` gives it; (1,) at rank 1.
+
+    The quotient normal of the last item's image (f1, f2) is (-f2, f1) or
+    its negation; exact back-substitution through the prefix rows, the
+    last one first, fills in the pivot columns."""
+    if pencil is None:
+        return (1,)
+    f1, f2 = pencil.images[subset[-1]]
+    out = [-f2, f1] if pencil.flip else [f2, -f1]
+    for q, p, row in reversed(pencil.steps):
+        out.insert(q, -sum(map(mul, row, out)) // p)
+    return primitive(out)
+
+
+def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
+    """(subset, swept, pencil) per candidate hyperplane of the rank-k
+    coordinates, at its first spanning (k-1)-subset in ``combinations``
+    order and in that order; ``swept`` holds the number of distinct
+    ``fresh`` labels (None marks a hit block) on the open positive and on
+    the open negative side of ``_normal(pencil, subset)``.  At rank 1 the
+    one candidate is the line's direction, with subset () and pencil None.
+
+    The independent (k-2)-prefixes P are walked depth-first.  Each node
+    takes every item one fraction-free (Bareiss) step further, so a
+    dependent prefix prunes its subtree, and at a leaf each item's last two
+    entries are its exact image in the 2-D quotient by span(P), times the
+    pivot before the last: the leaf skips Bareiss's last exact division,
+    since a common factor moves no line and no side count.  The
+    hyperplanes through span(P) are the lines of that image, and P + (j)
+    is the first spanning subset of one exactly when it is the greedy basis
+    of the items on it: j > max(P) is the smallest index on the line, and
+    every earlier item in span(P) lies in the span of the prefix items
+    before it (if one does not, a smaller prefix spans every hyperplane of
+    the pencil first).  One ``_window_counts`` sweep counts both sides of
+    every line.  Item w lies on the positive side of the normal for j
+    exactly when det(image j, image w) has the sign of the last pivot, or
+    the opposite sign, as the kernel vector's sign rule fixes per pencil.
+    """
+    k = len(coords[0])
+    if k == 1:
+        sides = [
+            {f for (x,), f in zip(coords, fresh) if f is not None and x * sign > 0}
+            for sign in (1, -1)
+        ]
+        yield (), (len(sides[0]), len(sides[1])), None
+        return
+    n = len(coords)
+    top = k - 2  # prefix items above a leaf
+    # levels[s] holds every item's row reduced against the first s prefix
+    # items, over the columns that are not pivots yet.
+    levels: list[Sequence[Sequence[int]]] = [coords] * (top + 1)
+    steps: list[tuple[int, int, list[int]]] = [(0, 1, [])] * top
+    chosen = [0] * top
+
+    def prefixes(level: int, start: int, parity: int):
+        """The sum of the pivot positions at every independent prefix of
+        length ``top`` below the given node, with the walk's state set."""
+        if level == top:
+            yield parity
+            return
+        prev = steps[level - 1][1] if level else 1
+        for i in range(start, n - (top - level)):
+            pivot_row = levels[level][i]
+            q = next((t for t, x in enumerate(pivot_row) if x), None)
+            if q is None:
+                continue  # dependent prefix: every extension is dependent
+            p = pivot_row[q]
+            keep = [t for t in range(len(pivot_row)) if t != q]
+            row = [pivot_row[t] for t in keep]
+            chosen[level] = i
+            steps[level] = (q, p, row)
+            if level + 1 < top:
+                # Column by column, then transposed: there are more items
+                # than columns, so this takes fewer comprehensions.
+                levels[level + 1] = list(zip(*[
+                    [(p * v[t] - v[q] * b) // prev for v in levels[level]]
+                    for t, b in zip(keep, row)
+                ]))
+            else:  # a leaf keeps only the two quotient coordinates, undivided
+                (u, bu), (w, bw) = zip(keep, row)
+                levels[top] = [
+                    (p * v[u] - v[q] * bu, p * v[w] - v[q] * bw)
+                    for v in levels[level]
+                ]
+            yield from prefixes(level + 1, i + 1, parity + q)
+
+    for parity in prefixes(0, 0, 0):
+        last = chosen[-1] if top else -1
+        rays: dict[Ray, list[int]] = {}
+        first: dict[Ray, tuple[int, Ray]] = {}
+        for h, ((x, y), label) in enumerate(zip(levels[top], fresh)):
+            if not (x or y):
+                if h < last:
+                    s = bisect_left(chosen, h)
+                    if chosen[s] != h and any(levels[s][h]):
+                        break  # P is not the greedy basis of the items in span(P)
+                continue
+            g = gcd(x, y)
+            ray = (x // g, y // g)
+            group = rays.setdefault(ray, [])
+            if label is not None:
+                group.append(label)
+            # The line's first item, keyed by the ray of its upper half.
+            line = ray if y > 0 or (y == 0 and x > 0) else (-ray[0], -ray[1])
+            first.setdefault(line, (h, ray))
+        else:
+            # first.values() runs in index order, as the subset walk does.
+            planes = [(j, ray) for j, ray in first.values() if j > last]
+            if not planes:
+                continue
+            counts = _window_counts(rays, len(fresh))
+            # kernel_vector's signed maximal minors, against columns taken
+            # in pivot order and then the two free ones: that permutation's
+            # inversions are the sum of the pivot positions.  One row (a, b)
+            # gives (-b, a), as kernel_vector does.
+            flip = k == 2 or (k + parity) % 2 == 1
+            forward = flip == (steps[-1][1] > 0 if top else True)
+            prefix = tuple(chosen)
+            # Back-substitution carries the images' factor into the normal,
+            # and primitive() divides out all of it but its sign.
+            scale = steps[-2][1] if top > 1 else 1
+            pencil = _Pencil(prefix, tuple(steps), flip != (scale < 0), levels[top])
+            for j, ray in planes:
+                pos, neg = counts[ray]
+                yield prefix + (j,), (pos, neg) if forward else (neg, pos), pencil
+
+
 def _angle_order(rays) -> list[Ray]:
     """Distinct primitive rays sorted by exact angle from the positive x
     axis: the upper half-plane (angle 0 first), then the lower one (angle pi
@@ -221,59 +330,6 @@ def _angle_order(rays) -> list[Ray]:
     upper = sorted((r for r in rays if r[1] > 0), key=lambda r: -r[0] * s // r[1])
     lower = sorted((r for r in rays if r[1] < 0), key=lambda r: r[0] * s // -r[1])
     return [(1, 0)] * ((1, 0) in rays) + upper + [(-1, 0)] * ((-1, 0) in rays) + lower
-
-
-def _pencil_planes(coords: Sequence[IntVec], fresh: Sequence[int | None]):
-    """((i, j), swept) per candidate plane of the rank-3 coordinates, in the
-    order of ``_distinct_normals(coords, 3)``; ``swept`` holds the number of
-    new labels on the open positive and on the open negative side of the
-    plane with normal coords[i] x coords[j], and ``fresh`` each item's
-    label, or None when its block is already hit.
-
-    The planes through a = coords[i] form a pencil.  Eliminating a nonzero
-    coordinate c of a projects each w exactly onto the quotient plane, to
-    a[c] * w - w[c] * a without coordinate c; then
-    det(a, b, w) = a[c] * (-1)^c * cross(Pb, Pw), so after fixing that sign
-    by the order of the two kept coordinates, w lies on the positive side of
-    a x b exactly when Pw is counterclockwise of Pb within a half turn.
-    Each plane of the pencil is one projected line (a ray and its antipode),
-    and (i, j) is its first spanning pair exactly when j is the smallest
-    index on that line and no item before i is parallel to a; if one is,
-    it spanned every plane of the pencil first.  The projected directions
-    are sorted once by exact angle, and two windows rotating with the plane
-    count the labels strictly on each side (``_window_counts``).
-    """
-    for i in range(len(coords) - 1):
-        a = coords[i]
-        c = next(t for t in range(3) if a[t])
-        c1, c2 = (t for t in range(3) if t != c)
-        if (a[c] < 0) != (c == 1):
-            c1, c2 = c2, c1
-        ac, a1, a2 = a[c], a[c1], a[c2]
-        rays: dict[Ray, list[int]] = {}
-        first: dict[Ray, tuple[int, Ray]] = {}
-        for h, (w, label) in enumerate(zip(coords, fresh)):
-            x = ac * w[c1] - w[c] * a1
-            y = ac * w[c2] - w[c] * a2
-            if not (x or y):
-                if h < i:
-                    break  # an earlier parallel item spanned the pencil
-                continue
-            g = gcd(x, y)
-            ray = (x // g, y // g)
-            group = rays.setdefault(ray, [])
-            if label is not None:
-                group.append(label)
-            # The line's first item, keyed by the ray of its upper half.
-            line = ray if y > 0 or (y == 0 and x > 0) else (-ray[0], -ray[1])
-            first.setdefault(line, (h, ray))
-        else:  # no item before i is parallel to a
-            # first.values() runs in index order, as the pair walk does.
-            planes = [(j, ray) for j, ray in first.values() if j > i]
-            if planes:
-                counts = _window_counts(rays, len(fresh))
-                for j, ray in planes:
-                    yield (i, j), counts[ray]
 
 
 def _window_counts(rays: dict[Ray, list[int]], size: int) -> dict[Ray, tuple[int, int]]:

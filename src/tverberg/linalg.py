@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -216,7 +215,7 @@ def kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     One row (a, b) is the exception: it gives primitive (-b, a), the
     negative of the general rule's (b, -a).  The sign orients the two
     candidate half-spaces in the one-row case of the depth search, so it
-    is kept as it is; ``hyperplane_normals`` reproduces it.
+    is kept as it is; ``depth._normal`` reproduces it.
     """
     m = len(rows)
     k = m + 1
@@ -245,127 +244,3 @@ def kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
         if sum(a * b for a, b in zip(r, vec)) != 0:
             raise AssertionError("kernel vector fails orthogonality")
     return vec
-
-
-def hyperplane_normals(
-    rows: Sequence[Sequence[int]], k: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Kernel vectors of every (k-1)-subset of the length-k integer rows.
-
-    Yields ``(subset, kernel_vector([rows[i] for i in subset]))`` for each
-    ``subset`` of ``combinations(range(len(rows)), k - 1)``, in that order,
-    skipping the subsets whose kernel vector is None.  The vectors are
-    bit-identical to ``kernel_vector``, sign included.
-
-    The subsets are walked depth-first and each prefix shares one
-    fraction-free (Bareiss) elimination: a prefix node keeps its reduced
-    rows, pivot columns and pivot values, so appending a row costs one
-    reduction against the prefix, and a linearly dependent prefix prunes
-    its whole subtree.  At a leaf the two non-pivot entries of the reduced
-    last row are two maximal minors (Sylvester's identity); after a sign
-    fix for the pivot-column order they are two signed cofactors, and the
-    other entries follow by exact integer back-substitution; at k = 3 that
-    gives the primitive cross product of the pair.  For k = 2 the normal of
-    (a, b) is (-b, a), and for k = 1 the one subset is empty and the kernel
-    of the 0 x 1 matrix is (1,).
-    """
-    if k < 1 or any(len(r) != k for r in rows):
-        raise ValueError("hyperplane_normals expects rows of length k >= 1")
-    if k == 1:
-        yield (), (1,)
-    elif k == 2:
-        for i, (a, b) in enumerate(rows):
-            if a or b:
-                yield (i,), primitive((-b, a))
-    else:
-        yield from _eliminated_normals(rows, k)
-
-
-def _checked(vec: tuple[int, ...], subset_rows) -> tuple[int, ...]:
-    for r in subset_rows:
-        if sum(map(mul, r, vec)):
-            raise AssertionError("kernel vector fails orthogonality")
-    return vec
-
-
-def _eliminated_normals(rows: Sequence[Sequence[int]], k: int):
-    n = len(rows)
-    top = k - 2  # prefix rows above a leaf
-    # Per prefix level s: its reduced row, pivot column and pivot value.
-    # rest[s] lists the columns not among the first s pivots, and parity[s]
-    # the parity of the inversions of those pivot columns.
-    reduced: list[list[int]] = [[]] * top
-    pivot_col = [0] * top
-    pivot_val = [0] * top
-    rest: list[list[int]] = [list(range(k))] + [[]] * top
-    parity = [0] * (top + 1)
-    chosen = [0] * top
-
-    def eliminate(row: Sequence[int], levels: int) -> list[int]:
-        """``row`` eliminated against the first ``levels`` prefix rows."""
-        v = list(row)
-        prev = 1
-        for s in range(levels):
-            p = pivot_val[s]
-            lead = v[pivot_col[s]]
-            if lead:
-                red = reduced[s]
-                for c in rest[s + 1]:
-                    v[c] = (p * v[c] - lead * red[c]) // prev
-            elif p != prev:
-                for c in rest[s + 1]:
-                    v[c] = p * v[c] // prev
-            prev = p
-        return v
-
-    def leaves():
-        c1, c2 = rest[top]
-        # Entry c of the reduced leaf row is the minor on the columns
-        # (pivot_col..., c).  Cofactor c1 is (-1)^c1 times the minor that
-        # drops c1, i.e. entry c2 with its columns sorted: the sort costs the
-        # pivots' own inversions plus the k-1-c2 pivots above c2.  Cofactor
-        # c2 takes the other sign, as f1 * out[c1] + f2 * out[c2] must vanish.
-        flip = (c1 + parity[top] + k - 1 - c2) & 1
-        prefix = tuple(chosen)
-        prefix_rows = [rows[i] for i in chosen]
-        back = range(top - 1, -1, -1)
-        for j in range(chosen[-1] + 1, n):
-            v = eliminate(rows[j], top)
-            f1, f2 = v[c1], v[c2]
-            if not (f1 or f2):
-                continue
-            out = [0] * k
-            if flip:
-                out[c1], out[c2] = -f2, f1
-            else:
-                out[c1], out[c2] = f2, -f1
-            for s in back:
-                red = reduced[s]
-                acc = 0
-                for c in rest[s + 1]:
-                    acc += red[c] * out[c]
-                out[pivot_col[s]] = -acc // pivot_val[s]
-            g = gcd(*out)
-            vec = tuple(out) if g == 1 else tuple(x // g for x in out)
-            yield prefix + (j,), _checked(vec, prefix_rows + [rows[j]])
-
-    def descend(level: int, start: int):
-        if level == top:
-            yield from leaves()
-            return
-        free = rest[level]
-        for i in range(start, n - (k - 2 - level)):
-            v = eliminate(rows[i], level)
-            col = next((c for c in free if v[c]), None)
-            if col is None:
-                continue  # dependent prefix: every extension is dependent
-            chosen[level] = i
-            reduced[level] = v
-            pivot_col[level] = col
-            pivot_val[level] = v[col]
-            rest[level + 1] = [c for c in free if c != col]
-            above = sum(1 for c in pivot_col[:level] if c > col)
-            parity[level + 1] = (parity[level] + above) & 1
-            yield from descend(level + 1, i + 1)
-
-    yield from descend(0, 0)

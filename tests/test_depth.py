@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from tverberg.depth import (
     _angle_order,
     _combine,
-    _distinct_normals,
     _idot,
     _lift_normal,
-    _pencil_planes,
+    _normal,
+    _pencil_walk,
     _search,
     block_depth,
     depth,
@@ -23,7 +23,7 @@ from tverberg.engine import random_partition
 from tverberg.gen import uniform_ball
 from tverberg.geometry import PointConfig, make_config, side_counts
 from tverberg.lift import lift_partition
-from tverberg.linalg import row_basis
+from tverberg.linalg import kernel_vector, row_basis
 from tverberg.partition import Partition
 from tverberg.verify import BudgetExceeded
 
@@ -278,9 +278,108 @@ def test_search_sized_lifted_depth_pinned():
     assert cert.witness.offset == 0
 
 
+def test_planar_depth_pinned():
+    # Rank 2: one sweep of the empty prefix's pencil serves every line
+    # through the query point.  The per-candidate loop computed these values
+    # in 2.6-3.6 s; the sweep must keep its first-minimum tie-break and count.
+    cfg = uniform_ball(2000, 2, 1000, 7)
+    cert = depth(cfg, (F(1, 3), F(2, 7)))
+    assert cert.depth == 940
+    assert cert.candidate_count == 4016
+    assert cert.witness.normal == (F(-2589206175607051), F(7702402722808384))
+    assert cert.witness.offset == F(28089973107600947, 21)
+
+
+def _distinct_normals(coords, k):
+    """(first spanning (k-1)-subset, kernel vector) per hyperplane of the
+    length-k integer rows, in ``combinations`` order: every subset gets its
+    own kernel vector, and a hash of the vector oriented to a positive
+    leading entry drops the hyperplanes already seen.  The enumeration the
+    pencil walk replaced; the oracle below."""
+    seen = set()
+    for subset in combinations(range(len(coords)), k - 1):
+        z = kernel_vector([coords[i] for i in subset])
+        if z is None:
+            continue
+        key = z if next(x for x in z if x) > 0 else tuple(-x for x in z)
+        if key not in seen:
+            seen.add(key)
+            yield subset, z
+
+
+def _dot_sides(z, coords, fresh):
+    """Distinct non-None labels strictly on each side of z."""
+    return tuple(
+        len({f for w, f in zip(coords, fresh) if f is not None and sign * _idot(z, w) > 0})
+        for sign in (1, -1)
+    )
+
+
+def _check_walk(coords, fresh, k):
+    # Same subsets, in the same order, with kernel_vector's normals, sign
+    # included, and side counts that dot products confirm.
+    walk = list(_pencil_walk(coords, fresh))
+    oracle = list(_distinct_normals(coords, k))
+    assert [(subset, _normal(pencil, subset)) for subset, _, pencil in walk] == oracle
+    for (subset, swept, _), (_, z) in zip(walk, oracle):
+        assert swept == _dot_sides(z, coords, fresh)
+
+
+@st.composite
+def _degenerate_rows(draw):
+    """Rows of length k = 1..6 with zero columns, repeated, scaled and
+    dependent rows, and entries up to 10^7."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    bound = draw(st.sampled_from([1, 3, 10**7]))
+    entry = st.integers(-bound, bound)
+    rows: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "scale", "combine"]))
+        if kind == "fresh" or not rows:
+            row = tuple(draw(st.lists(entry, min_size=k, max_size=k)))
+        elif kind == "repeat":
+            row = draw(st.sampled_from(rows))
+        elif kind == "scale":
+            c = draw(st.integers(-5, 5))
+            row = tuple(c * x for x in draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, e = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            row = tuple(c * x + e * y for x, y in zip(a, b))
+        rows.append(row)
+    zero = draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
+    rows = [tuple(0 if j in zero else x for j, x in enumerate(r)) for r in rows]
+    return k, rows
+
+
+_GENERIC_ROWS = [
+    (3, -1, 4, 1, -5, 9),
+    (2, 6, -5, 3, 5, 8),
+    (9, 7, 9, -3, 2, 3),
+    (8, 4, 6, 2, 6, -4),
+    (3, 3, 8, 3, 2, -7),
+    (9, 5, 0, 2, 8, 8),
+    (4, -1, 9, 7, 1, 6),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_degenerate_rows())
+@example((6, _GENERIC_ROWS))
+@example((5, [r[:5] for r in _GENERIC_ROWS]))
+@example((4, [r[:4] for r in _GENERIC_ROWS]))
+# One row (a, b) takes the normal (-b, a), as kernel_vector does.
+@example((2, [(2, 4), (0, 0), (3, -5)]))
+def test_pencil_walk_matches_kernel_vector(case):
+    # Raw rows, zero and rank-deficient ones included, with distinct labels.
+    k, rows = case
+    _check_walk(rows, list(range(len(rows))), k)
+
+
 def _naive_search(items, labels, hit, counter):
-    """The search with side counts taken from dot products at every
-    candidate, as it ran before the pencil sweep; the reference below."""
+    """The search with candidates from the subset oracle and side counts
+    from dot products at every candidate, as it ran before the pencil
+    walk; the reference below."""
     if not items:
         return 0, None
     basis = row_basis([w for _, w in items])
@@ -316,16 +415,19 @@ def _naive_search(items, labels, hit, counter):
 
 
 _small = st.integers(-3, 3)
-_vec3 = st.tuples(_small, _small, _small).filter(any)
 
 
 @st.composite
 def _tie_heavy_items(draw):
-    """Nonzero Z^3 vectors with repeated, antiparallel, scaled and coplanar
-    members, labelled as points or as blocks, and a nonempty hit set."""
-    vecs = draw(st.lists(_vec3, min_size=1, max_size=7))
-    for _ in range(draw(st.integers(0, 7))):
-        kind = draw(st.sampled_from(["repeat", "negate", "scale", "coplanar"]))
+    """Nonzero Z^k vectors, k = 2..5, with repeated, antiparallel, scaled
+    and dependent members, labelled as points or as blocks, and a nonempty
+    hit set."""
+    k = draw(st.integers(2, 5))
+    vec = st.tuples(*[_small] * k).filter(any)
+    size = min(7, 10 - k)  # the oracles enumerate C(n, k - 1) subsets
+    vecs = draw(st.lists(vec, min_size=1, max_size=size))
+    for _ in range(draw(st.integers(0, size))):
+        kind = draw(st.sampled_from(["repeat", "negate", "scale", "combine"]))
         u = draw(st.sampled_from(vecs))
         if kind == "repeat":
             w = u
@@ -369,30 +471,27 @@ def test_search_matches_per_candidate_reference(case):
 
 # Item 2 is parallel to item 0, so pencil 2 holds no first spanning pair.
 _PARALLEL_FIRST = [(1, 0, 0), (0, 1, 0), (-2, 0, 0), (0, 0, 1), (1, 1, 0), (2, 0, 1)]
+# Item 2 lies in the span of items 0 and 3 but not of item 0, so the prefix
+# (0, 3) is not the greedy basis of its span and holds no first subset.
+_NOT_GREEDY = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_tie_heavy_items())
 @example((list(enumerate(_PARALLEL_FIRST)), [0, 1, 2, 3, 4, 5], frozenset({99})))
 @example((list(enumerate(_PARALLEL_FIRST)), [0, 1, 0, 2, 1, 2], frozenset({2})))
-def test_pencil_planes_match_distinct_normals_and_dot_products(case):
-    # The pencil sweep replaces the pair walk at rank 3: the same first
-    # spanning pairs in the same order, with side counts that dot products
-    # against the pair's cross product confirm.
+@example((list(enumerate(_NOT_GREEDY)), [0, 1, 2, 3, 4, 5], frozenset({99})))
+def test_pencil_walk_matches_distinct_normals_and_dot_products(case):
+    # The walk replaces the subset oracle at every rank: the same first
+    # spanning subsets in the same order, the same normals, and side counts
+    # of the labels not yet hit that dot products confirm.  Items are in
+    # basis coordinates, as the search passes them.
     items, labels, hit = case
-    coords = [w for _, w in items]
+    basis = row_basis([w for _, w in items])
+    coords = [tuple(_idot(q, w) for q in basis) for _, w in items]
     dense = {}
     fresh = [None if l in hit else dense.setdefault(l, len(dense)) for l in labels]
-    planes = list(_pencil_planes(coords, fresh))
-    assert [pair for pair, _ in planes] == [pair for pair, _ in _distinct_normals(coords, 3)]
-    for (i, j), swept in planes:
-        (a1, a2, a3), (b1, b2, b3) = coords[i], coords[j]
-        z = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-        sides = tuple(
-            len({f for w, f in zip(coords, fresh) if f is not None and sign * _idot(z, w) > 0})
-            for sign in (1, -1)
-        )
-        assert swept == sides
+    _check_walk(coords, fresh, len(basis))
 
 
 def _clockwise(u, v):

@@ -1,15 +1,13 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tverberg.linalg import (
     as_vector,
     clear_denominators,
     dot,
-    hyperplane_normals,
     kernel_vector,
     primitive,
     row_basis,
@@ -111,10 +109,6 @@ def test_kernel_vector_single_row_sign_convention():
     assert kernel_vector([(2, 4)]) == (-2, 1)
     assert kernel_vector([(3, -5)]) == (5, 3)
     assert kernel_vector([(0, 0)]) is None
-    assert list(hyperplane_normals([(2, 4), (0, 0), (3, -5)], 2)) == [
-        ((0,), (-2, 1)),
-        ((2,), (5, 3)),
-    ]
 
 
 def test_kernel_vector_general_sign_rule():
@@ -149,67 +143,3 @@ def test_kernel_vector_orthogonal_when_present(rows):
 
 def test_as_vector_accepts_mixed_input():
     assert as_vector([1, "1/2", F(3, 4)]) == (F(1), F(1, 2), F(3, 4))
-
-
-def _kernel_vectors_by_subset(rows, k):
-    out = []
-    for subset in combinations(range(len(rows)), k - 1):
-        z = kernel_vector([rows[i] for i in subset])
-        if z is not None:
-            out.append((subset, z))
-    return out
-
-
-@st.composite
-def _degenerate_rows(draw):
-    """Rows of length k = 1..6 with zero columns, repeated, scaled and
-    dependent rows, and entries up to 10^7."""
-    k = draw(st.integers(min_value=1, max_value=6))
-    bound = draw(st.sampled_from([1, 3, 10**7]))
-    entry = st.integers(-bound, bound)
-    rows: list[tuple[int, ...]] = []
-    for _ in range(draw(st.integers(min_value=0, max_value=8))):
-        kind = draw(st.sampled_from(["fresh", "repeat", "scale", "combine"]))
-        if kind == "fresh" or not rows:
-            row = tuple(draw(st.lists(entry, min_size=k, max_size=k)))
-        elif kind == "repeat":
-            row = draw(st.sampled_from(rows))
-        elif kind == "scale":
-            c = draw(st.integers(-5, 5))
-            row = tuple(c * x for x in draw(st.sampled_from(rows)))
-        else:
-            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            c, e = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-            row = tuple(c * x + e * y for x, y in zip(a, b))
-        rows.append(row)
-    zero = draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
-    rows = [tuple(0 if j in zero else x for j, x in enumerate(r)) for r in rows]
-    return k, rows
-
-
-_GENERIC_ROWS = [
-    (3, -1, 4, 1, -5, 9),
-    (2, 6, -5, 3, 5, 8),
-    (9, 7, 9, -3, 2, 3),
-    (8, 4, 6, 2, 6, -4),
-    (3, 3, 8, 3, 2, -7),
-    (9, 5, 0, 2, 8, 8),
-    (4, -1, 9, 7, 1, 6),
-]
-
-
-@settings(max_examples=300, deadline=None)
-@given(_degenerate_rows())
-@example((6, _GENERIC_ROWS))
-@example((5, [r[:5] for r in _GENERIC_ROWS]))
-@example((4, [r[:4] for r in _GENERIC_ROWS]))
-def test_hyperplane_normals_match_kernel_vector(case):
-    k, rows = case
-    assert list(hyperplane_normals(rows, k)) == _kernel_vectors_by_subset(rows, k)
-
-
-def test_hyperplane_normals_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        list(hyperplane_normals([(1, 2, 3), (1, 2)], 3))
-    with pytest.raises(ValueError):
-        list(hyperplane_normals([()], 0))
