@@ -23,16 +23,18 @@ pencil: in the 2-D quotient by span(P) each of them is one line through the
 origin.  The walk visits the prefixes depth-first, and each node takes every
 item one fraction-free (Bareiss) step further, so a dependent prefix prunes
 its subtree and a leaf holds every item's exact image in the quotient, up
-to one common integer factor.  The images are sorted once by exact integer
-angle keys, and two windows rotating with the line count the new blocks
-strictly on each side of every line of the pencil (Rousseeuw & Ruts, AS
-307, 1996): O(M log M) for M items rather than M dot products per
-hyperplane.  At rank 2 the prefix is empty and the one sweep is the planar
-depth algorithm, O(n log n) for n points; at rank 1 the candidates are the
-two directions of the line.  A hyperplane gets its normal, by
-back-substitution through the prefix, and its dot products only when one
-of its sides survives the prune; they recount both sides exactly, and a
-disagreement raises AssertionError.  ``candidate_count`` counts every
+to one common integer factor.  The lines of the pencil, each keyed by its
+upper ray, are sorted once by exact integer angle keys; the full turn is
+those rays and then their antipodes, and one window rotating through it
+counts the new blocks strictly on each side of every line, the
+counterclockwise side at the line's upper ray and the clockwise side at its
+lower one (Rousseeuw & Ruts, AS 307, 1996): O(M log M) for M items rather
+than M dot products per hyperplane.  At rank 2 the prefix is empty and the
+one sweep is the planar depth algorithm, O(n log n) for n points; at rank 1
+the candidates are the two directions of the line.  A hyperplane gets its
+normal, by back-substitution through the prefix, and its dot products only
+when one of its sides survives the prune; they recount both sides exactly,
+and a disagreement raises AssertionError.  ``candidate_count`` counts every
 oriented hyperplane examined, pruned or not, recursion included.
 
 Points lying exactly on a candidate hyperplane are resolved by the same
@@ -66,6 +68,9 @@ from .linalg import (
 
 IntVec = tuple[int, ...]
 Ray = tuple[int, int]
+# A line of a pencil: its first item, whether that item lies on the line's
+# upper ray, and the labels on the upper and on the lower ray.
+LineGroup = tuple[int, bool, list[int], list[int]]
 
 
 @dataclass(frozen=True)
@@ -185,7 +190,6 @@ class _Pencil(NamedTuple):
     the two orientations of a quotient normal the kernel vector takes.
     """
 
-    prefix: tuple[int, ...]
     steps: tuple[tuple[int, int, list[int]], ...]
     flip: bool
     images: Sequence[Sequence[int]]
@@ -227,9 +231,11 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
     every earlier item in span(P) lies in the span of the prefix items
     before it (if one does not, a smaller prefix spans every hyperplane of
     the pencil first).  One ``_window_counts`` sweep counts both sides of
-    every line.  Item w lies on the positive side of the normal for j
-    exactly when det(image j, image w) has the sign of the last pivot, or
-    the opposite sign, as the kernel vector's sign rule fixes per pencil.
+    every line, each from one of the line's two directions; the first
+    item's ray picks which side is counterclockwise.  Item w lies on the
+    positive side of the normal for j exactly when det(image j, image w)
+    has the sign of the last pivot, or the opposite sign, as the kernel
+    vector's sign rule fixes per pencil.
     """
     k = len(coords[0])
     if k == 1:
@@ -281,8 +287,8 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
 
     for parity in prefixes(0, 0, 0):
         last = chosen[-1] if top else -1
-        rays: dict[Ray, list[int]] = {}
-        first: dict[Ray, tuple[int, Ray]] = {}
+        # Per line, keyed by its upper ray (y > 0, or y = 0 and x > 0).
+        groups: dict[Ray, LineGroup] = {}
         for h, ((x, y), label) in enumerate(zip(levels[top], fresh)):
             if not (x or y):
                 if h < last:
@@ -290,20 +296,20 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
                     if chosen[s] != h and any(levels[s][h]):
                         break  # P is not the greedy basis of the items in span(P)
                 continue
-            g = gcd(x, y)
-            ray = (x // g, y // g)
-            group = rays.setdefault(ray, [])
+            upper = y > 0 or (y == 0 and x > 0)
+            g = gcd(x, y) if upper else -gcd(x, y)
+            line = (x // g, y // g)
+            group = groups.get(line)
+            if group is None:
+                group = groups[line] = (h, upper, [], [])
             if label is not None:
-                group.append(label)
-            # The line's first item, keyed by the ray of its upper half.
-            line = ray if y > 0 or (y == 0 and x > 0) else (-ray[0], -ray[1])
-            first.setdefault(line, (h, ray))
+                group[2 if upper else 3].append(label)
         else:
-            # first.values() runs in index order, as the subset walk does.
-            planes = [(j, ray) for j, ray in first.values() if j > last]
+            # groups runs in index order of first items, as the subset walk does.
+            planes = [(line, j, up) for line, (j, up, _, _) in groups.items() if j > last]
             if not planes:
                 continue
-            counts = _window_counts(rays, len(fresh))
+            counts = _window_counts(groups, len(fresh))
             # kernel_vector's signed maximal minors, against columns taken
             # in pivot order and then the two free ones: that permutation's
             # inversions are the sum of the pivot positions.  One row (a, b)
@@ -314,70 +320,49 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
             # Back-substitution carries the images' factor into the normal,
             # and primitive() divides out all of it but its sign.
             scale = steps[-2][1] if top > 1 else 1
-            pencil = _Pencil(prefix, tuple(steps), flip != (scale < 0), levels[top])
-            for j, ray in planes:
-                pos, neg = counts[ray]
-                yield prefix + (j,), (pos, neg) if forward else (neg, pos), pencil
+            pencil = _Pencil(tuple(steps), flip != (scale < 0), levels[top])
+            for line, j, up in planes:
+                ccw, cw = counts[line]
+                yield prefix + (j,), (ccw, cw) if up == forward else (cw, ccw), pencil
 
 
-def _angle_order(rays) -> list[Ray]:
-    """Distinct primitive rays sorted by exact angle from the positive x
-    axis: the upper half-plane (angle 0 first), then the lower one (angle pi
-    first), each by the integer key floor(-x * s / y) of its ray or of the
-    ray's negation.  Two slopes of primitive rays with 0 < y1, y2 < s differ
-    by at least 1 / (y1 * y2) > 1 / s, so distinct rays get distinct keys."""
-    s = 1 + max(y * y for _, y in rays)
-    upper = sorted((r for r in rays if r[1] > 0), key=lambda r: -r[0] * s // r[1])
-    lower = sorted((r for r in rays if r[1] < 0), key=lambda r: r[0] * s // -r[1])
-    return [(1, 0)] * ((1, 0) in rays) + upper + [(-1, 0)] * ((-1, 0) in rays) + lower
+def _angle_order(lines) -> list[Ray]:
+    """Distinct primitive upper rays (y > 0, or (1, 0)) sorted by exact
+    angle from the positive x axis: (1, 0) first, then the others by the
+    integer key floor(-x * s / y).  Two slopes of primitive rays with
+    0 < y1, y2 < s differ by at least 1 / (y1 * y2) > 1 / s, so distinct
+    rays get distinct keys."""
+    s = 1 + max(y * y for _, y in lines)
+    return [(1, 0)] * ((1, 0) in lines) + sorted(
+        (r for r in lines if r[1]), key=lambda r: -r[0] * s // r[1]
+    )
 
 
-def _window_counts(rays: dict[Ray, list[int]], size: int) -> dict[Ray, tuple[int, int]]:
-    """Per ray, the number of distinct labels (ids below ``size``) on the
-    rays strictly counterclockwise of it within a half turn, and on those
-    strictly clockwise of it within a half turn."""
-    order = _angle_order(rays)
-    turns = len(order)
-    dirs = order + order
-    # Labels of the doubled ray list; ray p's are flat[start[p]:start[p + 1]].
-    flat: list[int] = []
-    start = [0]
-    for ray in dirs:
-        flat += rays[ray]
-        start.append(len(flat))
-    # Two windows [lo, hi) of the doubled ray list, each with how often
-    # every label occurs in it and how many distinct labels that makes.
-    pos_count, neg_count = [0] * size, [0] * size
-    pos_lo = pos_hi = pos_size = neg_lo = neg_hi = neg_size = 0
-    counts: dict[Ray, tuple[int, int]] = {}
-    for t, (x, y) in enumerate(order):
-        # Rays t+1 .. opposite-1 turn less than half a turn from ray t; the
-        # antipode of ray t, if present, sits at opposite.
-        opposite = max(pos_hi, t + 1)
-        end = t + turns
-        while opposite < end:
-            u, v = dirs[opposite]
-            if x * v - y * u <= 0:
-                break
-            opposite += 1
-        behind = opposite
-        if behind < end and x * dirs[behind][1] == y * dirs[behind][0]:
-            behind += 1  # the antipode lies on the plane
-        for label in flat[start[pos_hi]:start[opposite]]:
-            pos_size += not pos_count[label]
-            pos_count[label] += 1
-        for label in flat[start[pos_lo]:start[t + 1]]:
-            pos_count[label] -= 1
-            pos_size -= not pos_count[label]
-        for label in flat[start[neg_hi]:start[end]]:
-            neg_size += not neg_count[label]
-            neg_count[label] += 1
-        for label in flat[start[neg_lo]:start[behind]]:
-            neg_count[label] -= 1
-            neg_size -= not neg_count[label]
-        pos_lo, pos_hi, neg_lo, neg_hi = t + 1, opposite, behind, end
-        counts[order[t]] = (pos_size, neg_size)
-    return counts
+def _window_counts(groups: dict[Ray, LineGroup], size: int) -> dict[Ray, tuple[int, int]]:
+    """Per line, keyed by its upper ray, the number of distinct labels (ids
+    below ``size``) on the rays strictly counterclockwise of its upper ray
+    within a half turn, and on those strictly clockwise of it.
+
+    With the L lines in angle order, the full turn is their upper rays and
+    then their lower rays, so the antipode of direction t is t + L.  One
+    window holds the directions t + 1 .. t + L - 1: at an upper ray it is
+    the counterclockwise side, and at the antipode the clockwise one."""
+    lines = _angle_order(groups)
+    half = len(lines)
+    turn = [groups[line][2] for line in lines] + [groups[line][3] for line in lines]
+    count = [0] * size
+    distinct = 0
+    window = []
+    for t in range(1 - half, 2 * half):
+        for label in turn[t - half - 1]:  # direction t + half - 1 (mod 2 * half) enters
+            distinct += not count[label]
+            count[label] += 1
+        if t >= 0:
+            for label in turn[t]:  # direction t leaves
+                count[label] -= 1
+                distinct -= not count[label]
+            window.append(distinct)
+    return {line: (window[i], window[i + half]) for i, line in enumerate(lines)}
 
 
 def _blocks_to_labels(cfg: PointConfig, blocks: Sequence[Sequence[int]]) -> list[int]:

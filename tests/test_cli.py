@@ -152,6 +152,47 @@ def test_partition_colored_class_count_refusal_exit_code(capsys, tmp_path):
     assert err == "unachievable: tolerance 3 would survive removing all 3 classes\n"
 
 
+def test_partition_colored_r_must_match_the_class_size(capsys, tmp_path):
+    cfg = tmp_path / "classes.json"
+    code, _, _ = run_cli(
+        capsys,
+        "gen", "colored-classes", "--classes", "3", "--r", "2", "--dim", "1",
+        "--out", str(cfg),
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys, "partition", str(cfg), "--mode", "colored", "--r", "3", "--t", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --r 3 does not match the class sizes [2]\n"
+
+
+def test_reay_partition_and_both_verify_methods_agree(capsys, tmp_path):
+    # The k-of-r search certifies every pair of its three parts; verify
+    # must give the same tolerance by the lift and by the removal scan.
+    cfg = tmp_path / "ball.json"
+    part = tmp_path / "reay.json"
+    assert run_cli(
+        capsys,
+        "gen", "uniform-ball", "--n", "12", "--dim", "2", "--radius", "100",
+        "--seed", "3", "--out", str(cfg),
+    )[0] == 0
+    found = run_json(
+        capsys,
+        "partition", str(cfg), "--mode", "reay", "--r", "3", "--k", "2",
+        "--t", "1", "--seed", "0", "--out-partition", str(part),
+    )
+    claimed = found["report"]["tolerance"]
+    assert claimed >= 1 and found["report"]["k"] == 2
+    for method in ("lifted", "exhaustive"):
+        checked = run_json(
+            capsys,
+            "verify", str(cfg), str(part), "--mode", "reay", "--k", "2",
+            "--method", method,
+        )
+        assert checked["tolerance"] == claimed
+
+
 def test_partition_trial_exhaustion_exit_code(capsys, tmp_path):
     cfg = tmp_path / "twelve.json"
     assert run_cli(capsys, "gen", "line", "--n", "12", "--out", str(cfg))[0] == 0
@@ -333,6 +374,40 @@ def test_plot_svg_with_highlighted_removal(capsys, tmp_path):
     assert out.startswith("<svg")
     assert out.rstrip().endswith("</svg>")
     assert "circle" in out
+
+
+def test_plot_class_report_rings_every_point_of_the_removed_classes(capsys, tmp_path):
+    cfg = tmp_path / "classes.json"
+    part = tmp_path / "rainbow.json"
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys,
+        "gen", "colored-classes", "--classes", "6", "--r", "2", "--dim", "2",
+        "--seed", "7", "--out", str(cfg),
+    )
+    assert code == 0
+    run_json(
+        capsys,
+        "partition", str(cfg), "--mode", "colored", "--t", "1", "--seed", "0",
+        "--out-partition", str(part), "--out-report", str(report),
+    )
+    found = json.loads(report.read_text())
+    assert found["unit"] == "classes" and found["witness_removal"]
+    code, out, _ = run_cli(
+        capsys, "plot", str(cfg), "--partition", str(part), "--report", str(report)
+    )
+    assert code == 0
+    # Each point is one r="4" circle, followed by an r="8" ring if removed.
+    ringed, index = set(), -1
+    for line in out.splitlines():
+        if 'r="4"' in line:
+            index += 1
+        elif 'r="8"' in line:
+            ringed.add(index)
+    colors = json.loads(cfg.read_text())["colors"]
+    removed = set(found["witness_removal"])
+    assert ringed == {i for i, c in enumerate(colors) if c in removed}
+    assert len(ringed) == 2 * len(removed)
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from tverberg.depth import (
     _normal,
     _pencil_walk,
     _search,
+    _window_counts,
     block_depth,
     depth,
     depth_oracle,
@@ -500,6 +501,13 @@ def _clockwise(u, v):
     return u[1] * v[0] - u[0] * v[1]
 
 
+def _upper(x, y):
+    """The primitive upper ray (y > 0, or y = 0 and x > 0) of the line
+    through the nonzero vector (x, y)."""
+    g = gcd(x, y) if y > 0 or (y == 0 and x > 0) else -gcd(x, y)
+    return x // g, y // g
+
+
 _coordinate = st.one_of(st.integers(-4, 4), st.integers(-(2**70), 2**70))
 # Consecutive Fibonacci numbers F89..F92: neighbouring slopes differ by
 # only 1 / (y1 * y2), which a key scale below max y^2 cannot resolve.
@@ -510,14 +518,45 @@ _F89, _F90, _F91, _F92 = (1779979416004714189, 2880067194370816120,
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_coordinate, _coordinate).filter(any), min_size=1, max_size=12))
 @example([(1, 0), (-1, 0), (0, 1), (0, -1)])
-@example([(2**64 + 1, 2**64), (2**64, 2**64 - 1), (-1, 0), (-(2**64), -(2**64) + 1)])
-@example([(_F91, _F90), (_F90, _F89), (_F92, _F91), (-_F91, -_F90), (-_F92, -_F91), (-_F90, -_F89)])
+@example([(2**64 + 1, 2**64), (2**64, 2**64 - 1), (-1, 0), (-(2**64), 2**64 - 1)])
+@example([(_F91, _F90), (_F90, _F89), (_F92, _F91), (-_F91, _F90), (-_F92, _F91), (-_F90, _F89)])
 def test_angle_keys_order_rays_as_the_comparator(vecs):
-    rays = {(x // gcd(x, y), y // gcd(x, y)) for x, y in vecs}
-    by_angle = cmp_to_key(_clockwise)
-    upper = [r for r in rays if r[1] > 0 or (r[1] == 0 and r[0] > 0)]
-    lower = [r for r in rays if r[1] < 0 or (r[1] == 0 and r[0] < 0)]
-    assert _angle_order(rays) == sorted(upper, key=by_angle) + sorted(lower, key=by_angle)
+    # The sweep sorts the upper ray of every line, and the full turn follows.
+    lines = {_upper(x, y) for x, y in vecs}
+    assert _angle_order(lines) == sorted(lines, key=cmp_to_key(_clockwise))
+
+
+@st.composite
+def _direction_groups(draw):
+    """Lines through the origin, keyed by their upper rays, each with a
+    label list per ray: repeated labels and empty rays included."""
+    vec = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
+    lines = draw(st.lists(vec.map(lambda v: _upper(*v)), min_size=1, max_size=8, unique=True))
+    labels = st.lists(st.integers(0, 4), max_size=3)
+    return {
+        line: (j, draw(st.booleans()), draw(labels), draw(labels))
+        for j, line in enumerate(lines)
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_direction_groups())
+@example({(1, 0): (0, True, [0, 1, 0], [1])})
+@example({(1, 0): (0, True, [0], []), (0, 1): (1, False, [], [0, 0])})
+def test_window_counts_match_a_direct_count(groups):
+    # Distinct labels strictly counterclockwise and strictly clockwise of
+    # each upper ray within a half turn, counted ray by ray from the signs
+    # of cross products.
+    rays = [(line, upper) for line, (_, _, upper, _) in groups.items()]
+    rays += [((-x, -y), lower) for (x, y), (_, _, _, lower) in groups.items()]
+    expected = {}
+    for x, y in groups:
+        sides = [
+            {l for (u, v), labels in rays if sign * (x * v - y * u) > 0 for l in labels}
+            for sign in (1, -1)
+        ]
+        expected[(x, y)] = (len(sides[0]), len(sides[1]))
+    assert _window_counts(groups, 5) == expected
 
 
 @settings(max_examples=80, deadline=None)

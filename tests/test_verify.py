@@ -179,6 +179,34 @@ def test_colored_requires_rainbow_partition():
 
 
 @pytest.mark.parametrize(
+    "compute, message",
+    [
+        (
+            lambda cfg, p: colored_tolerance(
+                PointConfig(dim=1, points=cfg.points, colors=(1, 1, 1, 2)), p
+            ),
+            "color class 1 has 3 points, expected 2",
+        ),
+        (
+            lambda cfg, p: colored_tolerance(cfg, p, method="oracle"),
+            "unknown method 'oracle'",
+        ),
+        (
+            lambda cfg, p: tolerance_exhaustive(cfg, p, t_cap=-1),
+            "t_cap must be nonnegative",
+        ),
+    ],
+    ids=["colored-class-size", "colored-method", "exhaustive-t_cap"],
+)
+def test_invalid_arguments_are_refused(compute, message):
+    points = tuple((F(v),) for v in (0, 1, 2, 3))
+    cfg = PointConfig(dim=1, points=points, colors=(1, 1, 2, 2))
+    p = Partition(r=2, labels=(1, 2, 2, 1))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        compute(cfg, p)
+
+
+@pytest.mark.parametrize(
     "compute, knob",
     [
         (lambda cfg, p: colored_tolerance(cfg, p, method=LIFTED, t_cap=0), "t_cap"),
