@@ -17,7 +17,7 @@ from .bounds import (
     sign_tolerance_from_n,
     tolerance_from_n,
 )
-from .depth import DepthCertificate, block_depth, depth, depth_oracle
+from .depth import DepthCertificate, block_depth, depth
 from .engine import (
     ColorfulBlockChoice,
     SignAssignment,
@@ -49,6 +49,7 @@ from .verify import (
     ReayReport,
     ToleranceReport,
     colored_tolerance,
+    depth_oracle,
     reay_tolerance,
     tolerance_by_lifted_depth,
     tolerance_exhaustive,

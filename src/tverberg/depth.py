@@ -56,15 +56,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .geometry import HalfSpace, PointConfig
-from .linalg import (
-    Vector,
-    clear_denominators,
-    dot,
-    primitive,
-    row_basis,
-    scalar_to_str,
-    vec_sub,
-)
+from .linalg import Vector, clear_denominators, dot, primitive, row_basis, vec_sub
 
 IntVec = tuple[int, ...]
 Ray = tuple[int, int]
@@ -96,10 +88,7 @@ class DepthCertificate:
             "depth": self.depth,
             "mode": self.mode,
             "candidate_count": self.candidate_count,
-            "witness_halfspace": {
-                "normal": [scalar_to_str(x) for x in self.witness.normal],
-                "offset": scalar_to_str(self.witness.offset),
-            },
+            "witness_halfspace": self.witness.to_json(),
         }
 
 
@@ -428,30 +417,3 @@ def block_depth(
     """Least number of distinct blocks a closed half-space through c touches."""
     labels = _blocks_to_labels(cfg, blocks)
     return _depth_impl(cfg, labels, c, "block-depth", at_least)
-
-
-def depth_oracle(cfg: PointConfig, c: Vector, budget: int | None = None) -> int:
-    """Depth recomputed independently: the smallest number of points whose
-    removal pulls c out of the convex hull of the rest.
-
-    This is the removal scan with c as one more, fixed part that no removal
-    unit meets: the hull of the points meets {c} exactly when it holds c.
-    A removal that misses the support of a hull witness found earlier
-    leaves c in the hull, so it is skipped without an LP; every other
-    removal costs one LP feasibility call, under the scan's budget.
-    """
-    from .verify import _removal_scan
-
-    if len(c) != cfg.dim:
-        raise ValueError("query point dimension does not match the configuration")
-    n = len(cfg.points)
-    origin = (Fraction(0),) * cfg.dim
-    shifted = PointConfig(
-        dim=cfg.dim, points=tuple(vec_sub(p, c) for p in cfg.points) + (origin,)
-    )
-    units = {i: [i] for i in range(n)}
-    report, _ = _removal_scan(
-        shifted, [range(n), [n]], units, budget=budget, scan="depth_oracle"
-    )
-    return report.tolerance + 1
-

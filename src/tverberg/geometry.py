@@ -68,6 +68,12 @@ class HalfSpace:
     def contains(self, x: Vector) -> bool:
         return dot(self.normal, x) >= self.offset
 
+    def to_json(self) -> dict:
+        return {
+            "normal": [scalar_to_str(x) for x in self.normal],
+            "offset": scalar_to_str(self.offset),
+        }
+
 
 def make_config(
     points: Iterable[Iterable[int | str | Fraction]],

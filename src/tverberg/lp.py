@@ -4,20 +4,20 @@ There is one system: do the convex hulls of some disjoint parts share a
 point?  Membership of the origin is the case where one part is the single
 point 0, so ``origin_in_hull`` is ``hulls_intersect`` with the origin
 appended.  The question is whether  A x = b,  x >= 0  admits a solution,
-decided by a phase-one simplex with Bland's pivoting rule, which cannot
-cycle, so termination is unconditional.  The tableau holds integer
+decided by a textbook phase-one simplex: only real columns enter, so
+every pivot lowers or holds the artificials' sum, and by Bland's theorem
+(1977) the lowest-index rule then terminates.  The tableau holds integer
 rows, each kept up to a positive scale and reduced by its gcd after every
 fraction-free pivot (Edmonds 1967, Bareiss 1968), so its pivots are exactly
-those of the same simplex over Fractions.  Every witness is re-substituted
-into its defining constraints in exact Fractions, by one check, before it
-is returned.
+those of the same simplex over Fractions.  One exact check re-substitutes
+every witness into its defining constraints before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .geometry import PointConfig
@@ -43,39 +43,29 @@ def _solve_feasibility(
 ) -> list[Fraction] | None:
     """Find x >= 0 with  sum_j x_j * columns[j] = rhs, or None.
 
-    Phase-one simplex: artificial variables start basic, the objective is
-    their sum, and Bland's rule (lowest eligible index enters, lowest-index
-    basic variable leaves on ties) guarantees finite termination.  Rows are
-    integers, each a positive multiple of the row a Fraction tableau would
-    hold, so every sign test, ratio and pivot is that tableau's.
+    Textbook phase one: row i's artificial variable starts basic as index
+    n + i and is never a tableau column, so only real columns enter and an
+    artificial that leaves never returns.  Every pivot then lowers or holds
+    the artificials' sum, and Bland's rule (lowest index enters, lowest
+    basic index leaves on ties) cannot cycle.  Rows are integers, each a
+    positive multiple of the row a Fraction tableau would hold, so every
+    sign test, ratio and pivot is that tableau's.
     """
     m = len(rhs)
     n = len(columns)
-    # Tableau rows: [RHS | real columns | artificial columns], one per
-    # constraint, scaled by a positive c_i to integers and flipped so every
-    # RHS entry is nonnegative; row i's artificial column holds c_i.
-    rows: list[list[int]] = []
-    scales: list[int] = []
-    for i in range(m):
-        *row, c = clear_denominators([rhs[i], *(col[i] for col in columns), _ONE])
-        if row[0] < 0:
-            row = [-v for v in row]
-        rows.append(row + [c if a == i else 0 for a in range(m)])
-        scales.append(c)
-    basis = [n + i for i in range(m)]  # artificial j has tableau column 1+n+j
+    # Tableau rows: [RHS | real columns], one per constraint, over one
+    # common denominator and flipped so every RHS entry is nonnegative.
+    table = [v for i in range(m) for v in (rhs[i], *(c[i] for c in columns))]
+    flat = clear_denominators(table)
+    rows = [list(flat[k : k + n + 1]) for k in range(0, len(flat), n + 1)]
+    rows = [[-v for v in row] if row[0] < 0 else row for row in rows]
+    basis = [n + i for i in range(m)]  # row i's artificial variable
 
     # Objective row for minimizing the artificial sum, in reduced costs: the
-    # sum of the rows divided by their c_i, times L = lcm(c_i) to stay integral.
-    big = lcm(*scales)
-    z = [sum(big // c * v for c, v in zip(scales, col)) for col in zip(*rows)]
+    # plain sum of the rows.  A basic column's entry is zero, so it never enters.
+    z = [sum(col) for col in zip(*rows)]
 
-    while True:
-        enter = next(
-            (j for j in range(n + m) if z[1 + j] > 0 and j not in basis),
-            None,
-        )
-        if enter is None:
-            break
+    while (enter := next((j for j in range(n) if z[1 + j] > 0), None)) is not None:
         col = 1 + enter
         # Ratio test on row[0] / row[col], compared by cross-multiplication.
         leave_row = -1

@@ -13,7 +13,7 @@ the support of a common point it has already found is settled without
 a query, since that point survives the removal.  A unit is a point,
 or a whole color class in the colored form; the k-of-r form is the plain
 tolerance of each k-part sub-partition.  The same scan serves
-``depth.depth_oracle``: the query point is one more part, in no unit.
+``depth_oracle``: the query point is one more part, in no unit.
 A scan's budget counts the removal sets it walks, skipped ones included,
 and the scan raises ``BudgetExceeded`` before a size that would overrun it;
 ``check_budget`` refuses a budget below one.  Given ``at_least``, a function
@@ -23,6 +23,7 @@ returns None for a tolerance below it; the lifted route then stops early.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .depth import DepthCertificate, block_depth, depth
 from .geometry import PointConfig
 from .lift import lift_partition, recover_common_point
-from .linalg import Vector, scalar_to_str
+from .linalg import Vector, scalar_to_str, vec_sub
 from .lp import hulls_intersect, origin_in_hull
 from .partition import Partition
 
@@ -95,10 +96,7 @@ class ToleranceReport:
         }
         if self.certificate is not None:
             out["depth"] = self.certificate.depth
-            out["witness_halfspace"] = {
-                "normal": [scalar_to_str(x) for x in self.certificate.witness.normal],
-                "offset": scalar_to_str(self.certificate.witness.offset),
-            }
+            out["witness_halfspace"] = self.certificate.witness.to_json()
         return out
 
 
@@ -223,6 +221,30 @@ def _removal_scan(
         certificate=None,
     )
     return report, spent
+
+
+def depth_oracle(cfg: PointConfig, c: Vector, budget: Optional[int] = None) -> int:
+    """Depth recomputed independently: the smallest number of points whose
+    removal pulls c out of the convex hull of the rest.
+
+    This is the removal scan with c as one more, fixed part that no removal
+    unit meets: the hull of the points meets {c} exactly when it holds c.
+    A removal that misses the support of a hull witness found earlier
+    leaves c in the hull, so it is skipped without an LP; every other
+    removal costs one LP feasibility call, under the scan's budget.
+    """
+    if len(c) != cfg.dim:
+        raise ValueError("query point dimension does not match the configuration")
+    n = len(cfg.points)
+    origin = (Fraction(0),) * cfg.dim
+    shifted = PointConfig(
+        dim=cfg.dim, points=tuple(vec_sub(p, c) for p in cfg.points) + (origin,)
+    )
+    units = {i: [i] for i in range(n)}
+    report, _ = _removal_scan(
+        shifted, [range(n), [n]], units, budget=budget, scan="depth_oracle"
+    )
+    return report.tolerance + 1
 
 
 def tolerance_by_lifted_depth(

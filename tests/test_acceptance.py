@@ -17,7 +17,7 @@ from tverberg.bounds import (
     reay_tolerance_from_m,
     tolerance_from_n,
 )
-from tverberg.depth import depth, depth_oracle
+from tverberg.depth import depth
 from tverberg.engine import (
     certified_partition,
     random_block_choice,
@@ -32,6 +32,7 @@ from tverberg.perms import derangements, forbidden_avoidance_count
 from tverberg.rng import SplitMix64, substream_seed
 from tverberg.verify import (
     colored_tolerance,
+    depth_oracle,
     reay_tolerance,
     tolerance_by_lifted_depth,
     tolerance_exhaustive,

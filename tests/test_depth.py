@@ -18,7 +18,6 @@ from tverberg.depth import (
     _window_counts,
     block_depth,
     depth,
-    depth_oracle,
 )
 from tverberg.engine import random_partition
 from tverberg.gen import uniform_ball
@@ -26,7 +25,7 @@ from tverberg.geometry import PointConfig, make_config, side_counts
 from tverberg.lift import lift_partition
 from tverberg.linalg import kernel_vector, row_basis
 from tverberg.partition import Partition
-from tverberg.verify import BudgetExceeded
+from tverberg.verify import BudgetExceeded, depth_oracle
 
 from conftest import depth_1d, random_int_config
 

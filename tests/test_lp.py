@@ -1,13 +1,17 @@
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tverberg import lp
 from tverberg.engine import random_partition
 from tverberg.gen import uniform_ball
 from tverberg.geometry import PointConfig, make_config
 from tverberg.lift import lift_partition
+from tverberg.linalg import solve_linear
 from tverberg.lp import ConvexWitness, _solve_feasibility, hulls_intersect, origin_in_hull
 from tverberg.partition import Partition
 
@@ -224,6 +228,14 @@ def _fraction_pivot(rows, z, pr, pc):
                 z[j] -= factor * pv
 
 
+# hulls_intersect's systems for two one-point parts on a line: the points 1
+# and 1, whose hulls meet at x = (1, 1), and the points -3 and -2.
+_ONE_D_HULLS = [
+    ([[F(1), F(0), F(1)], [F(0), F(1), F(-1)]], [F(1), F(1), F(0)]),
+    ([[F(1), F(0), F(-3)], [F(0), F(1), F(2)]], [F(1), F(1), F(0)]),
+]
+
+
 _entry = st.one_of(
     st.sampled_from([F(0), F(1), F(-1), F(2)]),
     st.builds(F, st.integers(-6, 6), st.integers(1, 6)),
@@ -231,14 +243,15 @@ _entry = st.one_of(
 
 
 @st.composite
-def _tie_heavy_systems(draw):
-    """Systems of m <= 7 rows and n <= 12 columns with repeated and scaled
-    columns, zero and negative right-hand sides, and denominators up to 6;
-    half of the right-hand sides are nonnegative combinations of columns, so
-    that feasible, degenerate systems are common."""
-    m = draw(st.integers(1, 7))
+def _tie_heavy_systems(draw, max_rows=7, max_columns=12):
+    """Systems of m <= max_rows rows and n <= max_columns columns with
+    repeated and scaled columns, zero and negative right-hand sides, and
+    denominators up to 6; half of the right-hand sides are nonnegative
+    combinations of columns, so that feasible, degenerate systems are
+    common."""
+    m = draw(st.integers(1, max_rows))
     columns: list[list[Fraction]] = []
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, max_columns))):
         if columns and draw(st.booleans()):
             k = draw(st.sampled_from([F(1), F(2), F(1, 2), F(-1), F(3, 2)]))
             columns.append([k * v for v in draw(st.sampled_from(columns))])
@@ -265,9 +278,61 @@ def _tie_heavy_systems(draw):
     [[F(-1), F(2), F(1)], [F(-1), F(1), F(1)], [F(1), F(1), F(0)], [F(0), F(-1), F(0)]],
     [F(1), F(1), F(2)],
 ))
+# hulls_intersect's two one-point systems, where the reference re-enters an
+# artificial.
+@example(_ONE_D_HULLS[0])
+@example(_ONE_D_HULLS[1])
 def test_integer_simplex_matches_fraction_tableau(system):
     columns, rhs = system
     assert _solve_feasibility(columns, rhs) == _fraction_solve_feasibility(columns, rhs)
+
+
+@pytest.mark.parametrize("system", _ONE_D_HULLS)
+def test_an_artificial_that_leaves_never_returns(system, monkeypatch):
+    # On both systems the artificial of row 2, the coordinate row with
+    # right-hand side 0, leaves on the first pivot; the reference's rule lets
+    # it back in on a third pivot.
+    calls = []
+    eliminate = lp._eliminate
+    monkeypatch.setattr(lp, "_eliminate", lambda *a: calls.append(a) or eliminate(*a))
+    columns, rhs = system
+    _solve_feasibility(columns, rhs)
+    # A pivot eliminates the other m - 1 rows and the objective row.
+    assert len(calls) == 2 * len(rhs)
+
+
+def _basic_solution_exists(columns, rhs):
+    """A x = b, x >= 0 is feasible exactly when it has a basic solution: some
+    linearly independent columns write b with nonnegative weights.  Each
+    column subset is solved exactly through its normal equations, whose
+    Gram matrix is singular exactly when the columns are dependent, and the
+    weights are re-substituted, as conftest's Caratheodory oracle does."""
+    if all(b == 0 for b in rhs):
+        return True
+    for k in range(1, min(len(rhs), len(columns)) + 1):
+        for subset in combinations(columns, k):
+            gram = [[sum(map(mul, u, v)) for v in subset] for u in subset]
+            lam = solve_linear(gram, [sum(map(mul, u, rhs)) for u in subset])
+            if lam is None or any(w < 0 for w in lam):
+                continue
+            if all(sum(map(mul, lam, row)) == b for row, b in zip(zip(*subset), rhs)):
+                return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_systems(max_rows=4, max_columns=6))
+@example(_ONE_D_HULLS[0])
+@example(_ONE_D_HULLS[1])
+def test_solve_feasibility_matches_a_basic_solution_oracle(system):
+    columns, rhs = system
+    x = _solve_feasibility(columns, rhs)
+    assert (x is not None) == _basic_solution_exists(columns, rhs)
+    if x is not None:
+        assert all(v >= 0 for v in x)
+        assert all(
+            sum(w * c[i] for w, c in zip(x, columns)) == b for i, b in enumerate(rhs)
+        )
 
 
 def _own_system_origin_in_hull(cfg):

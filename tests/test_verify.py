@@ -24,6 +24,7 @@ from tverberg.verify import (
     ReayReport,
     ToleranceReport,
     colored_tolerance,
+    depth_oracle,
     reay_tolerance,
     tolerance_by_lifted_depth,
     tolerance_exhaustive,
@@ -575,8 +576,6 @@ def test_check_budget_refuses_below_one():
 @pytest.mark.parametrize("budget", [0, -3])
 def test_scans_refuse_a_budget_below_one_as_invalid(budget):
     # A budget below one is invalid input, not a scan that ran out.
-    from tverberg.depth import depth_oracle
-
     cfg = line_points(6)
     p = Partition(2, (1, 2) * 3)
     calls = [
