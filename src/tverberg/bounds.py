@@ -34,7 +34,8 @@ def tolerance_from_n(n: int, d: int, r: int) -> int:
     """Largest t such that a uniform partition of any n points in R^d into
     r parts has tolerance >= t with positive probability: ceil(n/r - slack) - 1.
     """
-    return math.ceil(n / r - plain_slack(n, d, r)) - 1
+    slack = plain_slack(n, d, r)  # checks r before n / r divides by it
+    return math.ceil(n / r - slack) - 1
 
 
 def _least_n(start: int, holds: Callable[[int], bool]) -> int:
@@ -79,6 +80,7 @@ def n_for_probability(t: int, d: int, r: int, eps: float) -> int:
     """
     if t < 0:
         raise ValueError("tolerance must be nonnegative")
+    _check_ndr(1, d, r)  # before the predicate divides by r
     return _least_n(
         max(r * (t + 1), 1), lambda n: n / r - eps_slack(n, d, r, eps) >= t + 1
     )
@@ -127,7 +129,8 @@ def reay_slack(m: int, d: int, r: int, k: int) -> float:
 def reay_tolerance_from_m(m: int, d: int, r: int, k: int) -> int:
     """Tolerance guarantee when only every k of the r hulls must keep a
     common point: ceil(m/r - reay_slack) - 1."""
-    return math.ceil(m / r - reay_slack(m, d, r, k)) - 1
+    slack = reay_slack(m, d, r, k)  # checks r before m / r divides by it
+    return math.ceil(m / r - slack) - 1
 
 
 def carath_slack(n: int, d: int, r: int) -> float:

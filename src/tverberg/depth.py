@@ -23,14 +23,15 @@ pencil: in the 2-D quotient by span(P) each of them is one line through the
 origin.  The walk visits the prefixes depth-first, and each node takes every
 item one fraction-free (Bareiss) step further, so a dependent prefix prunes
 its subtree and a leaf holds every item's exact image in the quotient, up
-to one common integer factor.  The lines of the pencil, each keyed by its
-upper ray, are sorted once by exact integer angle keys; the full turn is
-those rays and then their antipodes, and one window rotating through it
-counts the new blocks strictly on each side of every line, the
-counterclockwise side at the line's upper ray and the clockwise side at its
-lower one (Rousseeuw & Ruts, AS 307, 1996): O(M log M) for M items rather
-than M dot products per hyperplane.  At rank 2 the prefix is empty and the
-one sweep is the planar depth algorithm, O(n log n) for n points; at rank 1
+to one common integer factor.  A candidate line starts at one of the c
+items after max(P), and the leaf counts the new blocks strictly on each side
+of its lines the cheaper way (Dyckerhoff & Mozharovskyi, CSDA 98, 2016).
+For c up to about log2 M of M items, each takes a row of M cross products:
+O(c * M).  Otherwise one window turning through the lines' upper rays and
+then their antipodes, sorted once by exact integer angle keys, counts every
+line, the counterclockwise side at its upper ray and the clockwise side at
+its lower one (Rousseeuw & Ruts, AS 307, 1996): O(M log M).  At rank 2 the
+prefix is empty and the one sweep is the planar depth algorithm; at rank 1
 the candidates are the two directions of the line.  A hyperplane gets its
 normal, by back-substitution through the prefix, and its dot products only
 when one of its sides survives the prune; they recount both sides exactly,
@@ -51,7 +52,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import inf
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -59,7 +60,6 @@ from .geometry import HalfSpace, PointConfig
 from .linalg import Vector, clear_denominators, dot, primitive, row_basis, vec_sub
 
 IntVec = tuple[int, ...]
-Ray = tuple[int, int]
 # A line of a pencil: its first item, whether that item lies on the line's
 # upper ray, and the labels on the upper and on the lower ray.
 LineGroup = tuple[int, bool, list[int], list[int]]
@@ -219,12 +219,12 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
     of the items on it: j > max(P) is the smallest index on the line, and
     every earlier item in span(P) lies in the span of the prefix items
     before it (if one does not, a smaller prefix spans every hyperplane of
-    the pencil first).  One ``_window_counts`` sweep counts both sides of
-    every line, each from one of the line's two directions; the first
-    item's ray picks which side is counterclockwise.  Item w lies on the
-    positive side of the normal for j exactly when det(image j, image w)
-    has the sign of the last pivot, or the opposite sign, as the kernel
-    vector's sign rule fixes per pencil.
+    the pencil first).  A leaf with c <= n.bit_length() items after max(P)
+    counts their lines' sides directly (``_direct_sides``, O(c * n)); any
+    other leaf sweeps its pencil once (``_window_counts``, O(n log n)).
+    Item w lies on the positive side of the normal for j exactly when
+    det(image j, image w) has the sign of the last pivot, or the opposite
+    sign, as the kernel vector's sign rule fixes per pencil.
     """
     k = len(coords[0])
     if k == 1:
@@ -276,70 +276,80 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
 
     for parity in prefixes(0, 0, 0):
         last = chosen[-1] if top else -1
-        # Per line, keyed by its upper ray (y > 0, or y = 0 and x > 0).
-        groups: dict[Ray, LineGroup] = {}
-        for h, ((x, y), label) in enumerate(zip(levels[top], fresh)):
-            if not (x or y):
-                if h < last:
-                    s = bisect_left(chosen, h)
-                    if chosen[s] != h and any(levels[s][h]):
-                        break  # P is not the greedy basis of the items in span(P)
-                continue
+        images = levels[top]
+        if images[:last].count((0, 0)) >= top and any(
+            chosen[s := bisect_left(chosen, h)] != h and any(levels[s][h])
+            for h in range(last) if images[h] == (0, 0)
+        ):
+            continue  # P is not the greedy basis of the items in span(P)
+        # At most about log2(n) new items: c cross-product rows beat a sort.
+        sides = _direct_sides if n - 1 - last <= n.bit_length() else _window_counts
+        planes = sides(images, fresh, last)
+        if not planes:
+            continue
+        # kernel_vector's signed maximal minors, against columns taken
+        # in pivot order and then the two free ones: that permutation's
+        # inversions are the sum of the pivot positions.  One row (a, b)
+        # gives (-b, a), as kernel_vector does.
+        flip = k == 2 or (k + parity) % 2 == 1
+        forward = flip == (steps[-1][1] > 0 if top else True)
+        prefix = tuple(chosen)
+        # Back-substitution carries the images' factor into the normal,
+        # and primitive() divides out all of it but its sign.
+        scale = steps[-2][1] if top > 1 else 1
+        pencil = _Pencil(tuple(steps), flip != (scale < 0), images)
+        for j, pos, neg in planes:
+            yield prefix + (j,), (pos, neg) if forward else (neg, pos), pencil
+
+
+def _direct_sides(images: Sequence[IntVec], fresh: Sequence[int | None], last: int):
+    """(j, pos, neg) per line of the pencil whose first item j is after
+    ``last``, in index order: the numbers of distinct ``fresh`` labels w with
+    det(image j, image w) > 0 and < 0, from one row of cross products per j."""
+    out = []
+    for j in range(last + 1, len(images)):
+        a, b = images[j]
+        if a or b:
+            dets = [a * y - b * x for x, y in images]
+            # Every zero image has det 0; any other zero is an item on j's line.
+            if dets[:j].count(0) == images[:j].count((0, 0)):
+                pos = {f for d, f in zip(dets, fresh) if d > 0}
+                neg = {f for d, f in zip(dets, fresh) if d < 0}
+                out.append((j, len(pos) - (None in pos), len(neg) - (None in neg)))
+    return out
+
+
+def _line_keys(images: Sequence[IntVec]) -> list[float]:
+    """Per nonzero image (x, y), its line's angle as a sort key: -inf at y = 0,
+    else floor(-x * s / y) with s = 1 + max y^2.  Distinct slopes differ by
+    at least 1 / |y1 * y2| > 1 / s, so distinct lines get distinct integer
+    keys, and every multiple of an image, negative or not, shares its key."""
+    s = 1 + max(y * y for _, y in images)
+    return [-x * s // y if y else -inf for x, y in images]
+
+
+def _window_counts(images: Sequence[IntVec], fresh: Sequence[int | None], last: int):
+    """``_direct_sides`` from one sweep of the pencil, for labels below M:
+    O(M log M) for M items, against O(c * M) for c items after ``last``, so
+    the walk sweeps only when c exceeds log2 M.  With the L lines in
+    ``_line_keys`` order, the full turn is their upper rays (y > 0, or y = 0
+    and x > 0) and then their lower rays, so the antipode of direction t is
+    t + L.  One window holds the directions t + 1 .. t + L - 1: at an upper
+    ray it is the counterclockwise side, and at the antipode the clockwise
+    one, and a line's first item is on one of the two."""
+    groups: dict[float, LineGroup] = {}
+    for h, ((x, y), key, label) in enumerate(zip(images, _line_keys(images), fresh)):
+        if x or y:
             upper = y > 0 or (y == 0 and x > 0)
-            g = gcd(x, y) if upper else -gcd(x, y)
-            line = (x // g, y // g)
-            group = groups.get(line)
+            group = groups.get(key)
             if group is None:
-                group = groups[line] = (h, upper, [], [])
+                group = groups[key] = (h, upper, [], [])
             if label is not None:
                 group[2 if upper else 3].append(label)
-        else:
-            # groups runs in index order of first items, as the subset walk does.
-            planes = [(line, j, up) for line, (j, up, _, _) in groups.items() if j > last]
-            if not planes:
-                continue
-            counts = _window_counts(groups, len(fresh))
-            # kernel_vector's signed maximal minors, against columns taken
-            # in pivot order and then the two free ones: that permutation's
-            # inversions are the sum of the pivot positions.  One row (a, b)
-            # gives (-b, a), as kernel_vector does.
-            flip = k == 2 or (k + parity) % 2 == 1
-            forward = flip == (steps[-1][1] > 0 if top else True)
-            prefix = tuple(chosen)
-            # Back-substitution carries the images' factor into the normal,
-            # and primitive() divides out all of it but its sign.
-            scale = steps[-2][1] if top > 1 else 1
-            pencil = _Pencil(tuple(steps), flip != (scale < 0), levels[top])
-            for line, j, up in planes:
-                ccw, cw = counts[line]
-                yield prefix + (j,), (ccw, cw) if up == forward else (cw, ccw), pencil
-
-
-def _angle_order(lines) -> list[Ray]:
-    """Distinct primitive upper rays (y > 0, or (1, 0)) sorted by exact
-    angle from the positive x axis: (1, 0) first, then the others by the
-    integer key floor(-x * s / y).  Two slopes of primitive rays with
-    0 < y1, y2 < s differ by at least 1 / (y1 * y2) > 1 / s, so distinct
-    rays get distinct keys."""
-    s = 1 + max(y * y for _, y in lines)
-    return [(1, 0)] * ((1, 0) in lines) + sorted(
-        (r for r in lines if r[1]), key=lambda r: -r[0] * s // r[1]
-    )
-
-
-def _window_counts(groups: dict[Ray, LineGroup], size: int) -> dict[Ray, tuple[int, int]]:
-    """Per line, keyed by its upper ray, the number of distinct labels (ids
-    below ``size``) on the rays strictly counterclockwise of its upper ray
-    within a half turn, and on those strictly clockwise of it.
-
-    With the L lines in angle order, the full turn is their upper rays and
-    then their lower rays, so the antipode of direction t is t + L.  One
-    window holds the directions t + 1 .. t + L - 1: at an upper ray it is
-    the counterclockwise side, and at the antipode the clockwise one."""
-    lines = _angle_order(groups)
+    lines = sorted(groups)
     half = len(lines)
     turn = [groups[line][2] for line in lines] + [groups[line][3] for line in lines]
-    count = [0] * size
+    count = [0] * len(fresh)
     distinct = 0
     window = []
     for t in range(1 - half, 2 * half):
@@ -351,7 +361,12 @@ def _window_counts(groups: dict[Ray, LineGroup], size: int) -> dict[Ray, tuple[i
                 count[label] -= 1
                 distinct -= not count[label]
             window.append(distinct)
-    return {line: (window[i], window[i + half]) for i, line in enumerate(lines)}
+    sides = {line: window[i::half] for i, line in enumerate(lines)}
+    # groups runs in index order of first items, as the subset walk does.
+    return [
+        (j, *sides[key][:: 1 if up else -1])
+        for key, (j, up, _, _) in groups.items() if j > last
+    ]
 
 
 def _blocks_to_labels(cfg: PointConfig, blocks: Sequence[Sequence[int]]) -> list[int]:

@@ -64,6 +64,21 @@ def test_bound_missing_argument_is_invalid(capsys):
     assert "needs --n" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plain", "--n", "100"],
+        ["epsilon", "--t", "2", "--eps", "0.1"],
+        ["reay", "--n", "100", "--k", "2"],
+    ],
+)
+def test_bound_with_no_parts_is_invalid(capsys, argv):
+    # --r 0 once divided by zero before the part count was checked.
+    code, out, err = run_cli(capsys, "bound", *argv, "--d", "2", "--r", "0")
+    assert (code, out) == (2, "")
+    assert "need at least two parts" in err
+
+
 def test_gen_line_values(capsys):
     record = run_json(capsys, "gen", "line", "--n", "12")
     assert record["dimension"] == 1

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tverberg.depth import (
-    _angle_order,
     _combine,
+    _direct_sides,
     _idot,
+    _line_keys,
     _lift_normal,
     _normal,
     _pencil_walk,
@@ -361,6 +362,15 @@ _GENERIC_ROWS = [
     (9, 5, 0, 2, 8, 8),
     (4, -1, 9, 7, 1, 6),
 ]
+# Twelve rows: a leaf after the prefix (0, .., k-3) holds more than log2(12)
+# later items and sweeps its pencil, one near the end counts them directly.
+_TWELVE_ROWS = _GENERIC_ROWS + [
+    (-2, 7, 1, -8, 2, 8),
+    (1, 8, -2, 8, -1, 8),
+    (2, 8, 4, -5, 9, 0),
+    (-4, 5, 2, 3, 5, -3),
+    (6, 0, -2, 8, 7, 4),
+]
 
 
 @settings(max_examples=300, deadline=None)
@@ -368,6 +378,10 @@ _GENERIC_ROWS = [
 @example((6, _GENERIC_ROWS))
 @example((5, [r[:5] for r in _GENERIC_ROWS]))
 @example((4, [r[:4] for r in _GENERIC_ROWS]))
+@example((6, _TWELVE_ROWS))
+@example((5, [r[:5] for r in _TWELVE_ROWS]))
+@example((4, [r[:4] for r in _TWELVE_ROWS]))
+@example((3, [r[:3] for r in _TWELVE_ROWS]))
 # One row (a, b) takes the normal (-b, a), as kernel_vector does.
 @example((2, [(2, 4), (0, 0), (3, -5)]))
 def test_pencil_walk_matches_kernel_vector(case):
@@ -481,6 +495,10 @@ _NOT_GREEDY = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0,
 @example((list(enumerate(_PARALLEL_FIRST)), [0, 1, 2, 3, 4, 5], frozenset({99})))
 @example((list(enumerate(_PARALLEL_FIRST)), [0, 1, 0, 2, 1, 2], frozenset({2})))
 @example((list(enumerate(_NOT_GREEDY)), [0, 1, 2, 3, 4, 5], frozenset({99})))
+@example((list(enumerate(_TWELVE_ROWS)), [0, 1, 2, 3] * 3, frozenset({3})))
+@example((list(enumerate([r[:5] for r in _TWELVE_ROWS])), [0, 1, 2] * 4, frozenset({99})))
+@example((list(enumerate([r[:4] for r in _TWELVE_ROWS])), [0, 1, 2, 3] * 3, frozenset({0})))
+@example((list(enumerate([r[:3] for r in _TWELVE_ROWS])), [0, 1, 2] * 4, frozenset({99})))
 def test_pencil_walk_matches_distinct_normals_and_dot_products(case):
     # The walk replaces the subset oracle at every rank: the same first
     # spanning subsets in the same order, the same normals, and side counts
@@ -512,50 +530,96 @@ _coordinate = st.one_of(st.integers(-4, 4), st.integers(-(2**70), 2**70))
 # only 1 / (y1 * y2), which a key scale below max y^2 cannot resolve.
 _F89, _F90, _F91, _F92 = (1779979416004714189, 2880067194370816120,
                           4660046610375530309, 7540113804746346429)
+_WIDE = [(2**64 + 1, 2**64), (2**64, 2**64 - 1), (-1, 0), (-(2**64), 2**64 - 1)]
+_FIBONACCI = [(_F91, _F90), (_F90, _F89), (_F92, _F91), (-_F91, _F90), (-_F92, _F91), (-_F90, _F89)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_coordinate, _coordinate).filter(any), min_size=1, max_size=12))
 @example([(1, 0), (-1, 0), (0, 1), (0, -1)])
-@example([(2**64 + 1, 2**64), (2**64, 2**64 - 1), (-1, 0), (-(2**64), 2**64 - 1)])
-@example([(_F91, _F90), (_F90, _F89), (_F92, _F91), (-_F91, _F90), (-_F92, _F91), (-_F90, _F89)])
+@example(_WIDE)
+@example(_FIBONACCI)
+# Scaled and negated copies raise max y^2 without adding a line.
+@example(_WIDE + [(3 * x, 3 * y) for x, y in _WIDE] + [(-5 * x, -5 * y) for x, y in _WIDE])
+@example(_FIBONACCI + [(-2 * x, -2 * y) for x, y in _FIBONACCI] + [(7 * x, 7 * y) for x, y in _FIBONACCI])
 def test_angle_keys_order_rays_as_the_comparator(vecs):
-    # The sweep sorts the upper ray of every line, and the full turn follows.
-    lines = {_upper(x, y) for x, y in vecs}
-    assert _angle_order(lines) == sorted(lines, key=cmp_to_key(_clockwise))
+    # Raw images, as a leaf holds them: two share a key exactly when they
+    # span one line, and the keys sort the lines' upper rays as the
+    # comparator does, so the sweep's full turn follows.
+    keys = _line_keys(vecs)
+    for (x, y), key in zip(vecs, keys):
+        for (u, v), other in zip(vecs, keys):
+            assert (key == other) == (x * v - y * u == 0)
+    by_key = {key: _upper(x, y) for (x, y), key in zip(vecs, keys)}
+    assert [by_key[key] for key in sorted(by_key)] == sorted(
+        set(by_key.values()), key=cmp_to_key(_clockwise)
+    )
 
 
 @st.composite
 def _direction_groups(draw):
-    """Lines through the origin, keyed by their upper rays, each with a
-    label list per ray: repeated labels and empty rays included."""
+    """Lines through the origin, keyed by their upper rays, each with its
+    first item's ray and a label list per ray: repeated labels and empty
+    rays included."""
     vec = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
     lines = draw(st.lists(vec.map(lambda v: _upper(*v)), min_size=1, max_size=8, unique=True))
     labels = st.lists(st.integers(0, 4), max_size=3)
-    return {
-        line: (j, draw(st.booleans()), draw(labels), draw(labels))
-        for j, line in enumerate(lines)
-    }
+    return {line: (draw(st.booleans()), draw(labels), draw(labels)) for line in lines}
 
 
 @settings(max_examples=300, deadline=None)
-@given(_direction_groups())
-@example({(1, 0): (0, True, [0, 1, 0], [1])})
-@example({(1, 0): (0, True, [0], []), (0, 1): (1, False, [], [0, 0])})
-def test_window_counts_match_a_direct_count(groups):
-    # Distinct labels strictly counterclockwise and strictly clockwise of
-    # each upper ray within a half turn, counted ray by ray from the signs
-    # of cross products.
-    rays = [(line, upper) for line, (_, _, upper, _) in groups.items()]
-    rays += [((-x, -y), lower) for (x, y), (_, _, _, lower) in groups.items()]
-    expected = {}
-    for x, y in groups:
+@given(_direction_groups(), st.integers(1, 3))
+@example({(1, 0): (True, [0, 1, 0], [1])}, 1)
+@example({(1, 0): (True, [0], []), (0, 1): (False, [], [0, 0])}, 2)
+def test_window_counts_match_a_direct_count(groups, scale):
+    # Distinct labels strictly on each side of each line's first item,
+    # counted ray by ray from the signs of cross products.  Items 0..L-1
+    # start the lines, in the groups' order, and hold no label; the labels
+    # follow on scaled copies of their rays, and zero images pad the label
+    # ids below the number of items.
+    firsts = [(x, y) if up else (-x, -y) for (x, y), (up, _, _) in groups.items()]
+    images, fresh, rays = firsts + [(0, 0)] * 5, [None] * (len(firsts) + 5), []
+    for (x, y), (_, upper, lower) in groups.items():
+        for ray, labels in (((x, y), upper), ((-x, -y), lower)):
+            rays.append((ray, labels))
+            images += [(scale * ray[0], scale * ray[1])] * len(labels)
+            fresh += labels
+    expected = []
+    for j, (x, y) in enumerate(firsts):
         sides = [
             {l for (u, v), labels in rays if sign * (x * v - y * u) > 0 for l in labels}
             for sign in (1, -1)
         ]
-        expected[(x, y)] = (len(sides[0]), len(sides[1]))
-    assert _window_counts(groups, 5) == expected
+        expected.append((j, len(sides[0]), len(sides[1])))
+    assert _window_counts(images, fresh, -1) == expected
+
+
+@st.composite
+def _leaves(draw):
+    """A leaf's images with zero, parallel, antiparallel and scaled members,
+    labels with repeats and None, and the last prefix item."""
+    vec = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    images = draw(st.lists(vec, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 8))):
+        x, y = draw(st.sampled_from(images))
+        c = draw(st.sampled_from([1, 1, -1, 2, -3, 0]))
+        images.insert(draw(st.integers(0, len(images))), (c * x, c * y))
+    label = st.none() | st.integers(0, min(4, len(images) - 1))  # ids below the item count
+    fresh = draw(st.lists(label, min_size=len(images), max_size=len(images)))
+    return images, fresh, draw(st.integers(-1, len(images) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leaves())
+# A pencil with one line.
+@example(([(0, 0), (2, -1), (-4, 2), (6, -3)], [0, 1, 2, 1], 0))
+# The only later item lies on an earlier line: no candidate.
+@example(([(1, 2), (0, 0), (3, 1), (-2, -4)], [0, 1, 2, 3], 2))
+def test_direct_sides_match_window_counts(leaf):
+    # The two ways a leaf counts the sides of its candidate lines agree
+    # line for line, in the same order.
+    images, fresh, last = leaf
+    assert _direct_sides(images, fresh, last) == _window_counts(images, fresh, last)
 
 
 @settings(max_examples=80, deadline=None)

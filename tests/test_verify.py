@@ -291,6 +291,44 @@ def test_reay_k_larger_never_raises_tolerance():
     assert overall <= pairwise
 
 
+@st.composite
+def _centred_partitions(draw):
+    """d = 1 with r = 3 or 4, or d = 2 with r = 4.  Each part holds d + 1
+    points whose sum is a small nudge, so its hull nearly always holds a
+    neighbourhood of the origin and most partitions have tolerance >= 0; at
+    d = 1 some parts hold two such sets.  Up to two free points join random
+    parts, so n <= 14 at rank 9."""
+    dim, r = draw(st.sampled_from([(1, 3), (1, 4), (2, 4), (2, 4)]))
+    coord = st.integers(-9, 9)
+    points, labels = [], []
+    doubled = draw(st.integers(0, r if dim == 1 else 0))
+    for part in range(1, r + 1):
+        for _ in range(1 + (part <= doubled)):
+            vs = [draw(st.tuples(*[coord] * dim)) for _ in range(dim)]
+            nudge = draw(st.tuples(*[st.integers(-1, 1)] * dim))
+            vs.append(tuple(e - sum(c) for e, c in zip(nudge, zip(*vs))))
+            points += vs
+            labels += [part] * len(vs)
+    for _ in range(draw(st.integers(0, 2))):
+        points.append(draw(st.tuples(*[coord] * dim)))
+        labels.append(draw(st.integers(1, r)))
+    order = draw(st.permutations(range(len(points))))
+    cfg = PointConfig(dim, tuple(tuple(F(x) for x in points[i]) for i in order))
+    return cfg, Partition(r, tuple(labels[i] for i in order))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_centred_partitions())
+def test_lifted_tolerance_equals_its_helly_reduction(case):
+    # Helly (1923): after a removal, r part hulls in R^d share no point
+    # exactly when some d + 1 of them share none.  So the full lift, of rank
+    # (d + 1)(r - 1) = 4, 6 or 9 here, must give the (d + 1)-of-r Reay
+    # tolerance, which lifts parts of rank 2, 2 or 6.
+    cfg, p = case
+    full = tolerance_by_lifted_depth(cfg, p).tolerance
+    assert full == reay_tolerance(cfg, p, min(p.r, cfg.dim + 1)).tolerance
+
+
 def test_report_json_shapes():
     cfg = line_points(6)
     p = Partition(r=2, labels=(1, 2, 1, 2, 1, 2))
