@@ -104,11 +104,12 @@ def colored_tolerance_from_n(n: int, d: int, r: int) -> int:
     """Class-removal tolerance guarantee for n color classes of size r in R^d:
     floor(p(r) n - colored_slack - 1) with p(r) the fixed-point probability.
     """
+    slack = colored_slack(n, d, r)  # checks r before p(r) reads it
     # p(r) alternates around 1 - 1/e with shrinking error, and p(18) and
     # p(19) round to the same double, so every r >= 18 gives that double;
     # capping r skips the exact derangement count of a large r.
     p = float(fixed_point_probability(min(r, 18)))
-    return math.floor(p * n - colored_slack(n, d, r) - 1.0)
+    return math.floor(p * n - slack - 1.0)
 
 
 def reay_slack(m: int, d: int, r: int, k: int) -> float:
@@ -164,8 +165,4 @@ def carath_guaranteed_depth(n: int, d: int, r: int) -> int:
 def sign_tolerance_from_n(n: int, d: int) -> int:
     """Tolerance guarantee for random sign flips of n points in R^d:
     the two-part Caratheodory bound rounded via ceil, minus one."""
-    if n < 1:
-        raise ValueError("need at least one point")
-    if d < 1:
-        raise ValueError("dimension must be positive")
     return math.ceil(carath_depth_bound(n, d, 2)) - 1

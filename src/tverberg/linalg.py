@@ -7,9 +7,9 @@ below validate shapes on construction.
 
 Linear solves clear denominators first and then run fraction-free
 (Bareiss) elimination over the integers, which bounds the intermediate
-entry growth without per-step gcd normalization; integer determinants and
-kernel vectors use the same elimination.  No floating point is used
-anywhere in this module.
+entry growth without per-step gcd normalization; integer determinants, and
+through them kernel vectors, run the same elimination loop.  No floating
+point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -93,20 +93,15 @@ def clear_denominators(vec: Sequence[Fraction]) -> tuple[int, ...]:
     dot products, which is all the geometric code relies on.
     """
     # Lists, not generators: CPython builds a tuple from a generator by
-    # resizing it, which strands blocks in its per-size tuple free lists
-    # (about 2 MB of peak memory over a long run of LP calls).
+    # resizing it, which can strand blocks in its per-size tuple free lists.
     scale = lcm(*[x.denominator for x in vec])
     return tuple([x.numerator * (scale // x.denominator) for x in vec])
 
 
 def primitive(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g <= 1:
-        return tuple(vec)
-    return tuple(x // g for x in vec)
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
 def solve_linear(mat: Matrix, rhs: Vector) -> Vector | None:
@@ -118,21 +113,8 @@ def solve_linear(mat: Matrix, rhs: Vector) -> Vector | None:
         raise ValueError("right-hand side length must match the matrix")
 
     rows = [list(clear_denominators(tuple(row) + (b,))) for row, b in zip(mat, rhs)]
-    prev = 1
-    for k in range(n):
-        if rows[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
-            if pivot_row is None:
-                return None
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            ri, rk = rows[i], rows[k]
-            lead = ri[k]
-            for j in range(k + 1, n + 1):
-                ri[j] = (ri[j] * pivot - lead * rk[j]) // prev
-            ri[k] = 0
-        prev = pivot
+    if not _bareiss(rows):
+        return None
 
     x = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
@@ -174,34 +156,34 @@ def row_basis(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(r) for r in basis]
 
 
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss, no Fractions)."""
+def _bareiss(rows: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) forward elimination, in place, of the n x n
+    leading block of n integer rows, carrying any further columns along.
+    Returns the block's determinant, or 0 as soon as a column has no pivot;
+    every division is exact."""
     n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+    sign = prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
             if pivot_row is None:
                 return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            ri, rk = m[i], m[k]
+        rk = rows[k]
+        pivot = rk[k]
+        for ri in rows[k + 1 :]:
             lead = ri[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(ri)):
                 ri[j] = (ri[j] * pivot - lead * rk[j]) // prev
             ri[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * prev
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (Bareiss, no Fractions)."""
+    return _bareiss([list(r) for r in rows])
 
 
 def kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
@@ -221,22 +203,15 @@ def kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     k = m + 1
     if any(len(r) != k for r in rows):
         raise ValueError("kernel_vector expects a (k-1) x k matrix")
-    if m == 0:
-        return (1,)
     if m == 1:
         a, b = rows[0]
         if a == 0 and b == 0:
             return None
         return primitive((-b, a))
-    if m == 2:
-        (a1, a2, a3), (b1, b2, b3) = rows
-        out = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-    else:
-        out = tuple(
-            (-1) ** drop
-            * int_det([[r[j] for j in range(k) if j != drop] for r in rows])
-            for drop in range(k)
-        )
+    out = tuple(
+        (-1) ** drop * int_det([[r[j] for j in range(k) if j != drop] for r in rows])
+        for drop in range(k)
+    )
     if not any(out):
         return None
     vec = primitive(out)

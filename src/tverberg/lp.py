@@ -7,24 +7,24 @@ appended.  The question is whether  A x = b,  x >= 0  admits a solution,
 decided by a textbook phase-one simplex: only real columns enter, so
 every pivot lowers or holds the artificials' sum, and by Bland's theorem
 (1977) the lowest-index rule then terminates.  The tableau holds integer
-rows, each kept up to a positive scale and reduced by its gcd after every
-fraction-free pivot (Edmonds 1967, Bareiss 1968), so its pivots are exactly
-those of the same simplex over Fractions.  One exact check re-substitutes
-every witness into its defining constraints before it is returned.
+rows over one common denominator, each kept up to a positive scale and
+reduced by its gcd after every fraction-free pivot (Edmonds 1967, Bareiss
+1968), so its pivots are exactly those of the same simplex over Fractions.
+One exact check re-substitutes every witness into its defining constraints
+before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .geometry import PointConfig
-from .linalg import Vector, clear_denominators
+from .linalg import Vector
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -38,26 +38,23 @@ class ConvexWitness:
     coefficients: tuple[tuple[int, Fraction], ...]
 
 
-def _solve_feasibility(
-    columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Find x >= 0 with  sum_j x_j * columns[j] = rhs, or None.
+def _solve_feasibility(rows: Sequence[Sequence[int]]) -> list[Fraction] | None:
+    """Find x >= 0 with  sum_j x_j * row[1 + j] = row[0]  for every row, or None.
+
+    Rows are integer rows [RHS | real columns] over one common denominator,
+    one positive multiple of the Fraction system, so the objective row is a
+    multiple of the Fraction tableau's and every sign test, ratio and pivot
+    is that tableau's; scaling each row apart would change the pivots.
 
     Textbook phase one: row i's artificial variable starts basic as index
     n + i and is never a tableau column, so only real columns enter and an
     artificial that leaves never returns.  Every pivot then lowers or holds
     the artificials' sum, and Bland's rule (lowest index enters, lowest
-    basic index leaves on ties) cannot cycle.  Rows are integers, each a
-    positive multiple of the row a Fraction tableau would hold, so every
-    sign test, ratio and pivot is that tableau's.
+    basic index leaves on ties) cannot cycle.
     """
-    m = len(rhs)
-    n = len(columns)
-    # Tableau rows: [RHS | real columns], one per constraint, over one
-    # common denominator and flipped so every RHS entry is nonnegative.
-    table = [v for i in range(m) for v in (rhs[i], *(c[i] for c in columns))]
-    flat = clear_denominators(table)
-    rows = [list(flat[k : k + n + 1]) for k in range(0, len(flat), n + 1)]
+    m = len(rows)
+    n = len(rows[0]) - 1
+    # Rows flipped so every RHS entry is nonnegative.
     rows = [[-v for v in row] if row[0] < 0 else row for row in rows]
     basis = [n + i for i in range(m)]  # row i's artificial variable
 
@@ -143,31 +140,24 @@ def hulls_intersect(
 
     d = cfg.dim
     r = len(groups)
-    # Variables: convex weights per part, in group order.  Constraints:
-    # each part's weights sum to one, and for every part j >= 2 the weighted
-    # part sum matches part 1's coordinatewise.
-    var_index: list[tuple[int, int]] = []  # (group position, point index)
-    for gpos, g in enumerate(groups):
-        for i in g:
-            var_index.append((gpos, i))
-    m = r + d * (r - 1)
-    columns: list[list[Fraction]] = []
-    for gpos, i in var_index:
-        col = [_ZERO] * m
-        col[gpos] = _ONE
-        p = cfg.points[i]
-        if gpos == 0:
-            for j in range(1, r):
-                base = r + d * (j - 1)
-                for k in range(d):
-                    col[base + k] = p[k]
-        else:
-            base = r + d * (gpos - 1)
-            for k in range(d):
-                col[base + k] = -p[k]
-        columns.append(col)
-    rhs = [_ONE] * r + [_ZERO] * (d * (r - 1))
-    x = _solve_feasibility(columns, rhs)
+    # Variables: convex weights per part, in group order.  Constraints, as
+    # rows [RHS | variables] times the lcm L of the coordinates' denominators:
+    # each part's weights sum to one (L, then L on the part), and for every
+    # part j >= 2 the weighted part sum matches part 1's coordinatewise
+    # (0, then L p_k on part 1 and -L p_k on part j).
+    var_index = [(gpos, i) for gpos, g in enumerate(groups) for i in g]
+    scale = lcm(*[c.denominator for _, i in var_index for c in cfg.points[i]])
+    scaled = [  # (part position, point times L) per variable
+        (gpos, [c.numerator * (scale // c.denominator) for c in cfg.points[i]])
+        for gpos, i in var_index
+    ]
+    rows = [[scale] + [scale if g == j else 0 for g, _ in scaled] for j in range(r)]
+    rows += [
+        [0] + [p[k] if g == 0 else -p[k] if g == j else 0 for g, p in scaled]
+        for j in range(1, r)
+        for k in range(d)
+    ]
+    x = _solve_feasibility(rows)
     if x is None:
         return None
 

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .depth import DepthCertificate, block_depth, depth
 from .geometry import PointConfig
 from .lift import lift_partition, recover_common_point
-from .linalg import Vector, scalar_to_str, vec_sub
+from .linalg import Vector, scalar_to_str
 from .lp import hulls_intersect, origin_in_hull
 from .partition import Partition
 
@@ -236,13 +236,10 @@ def depth_oracle(cfg: PointConfig, c: Vector, budget: Optional[int] = None) -> i
     if len(c) != cfg.dim:
         raise ValueError("query point dimension does not match the configuration")
     n = len(cfg.points)
-    origin = (Fraction(0),) * cfg.dim
-    shifted = PointConfig(
-        dim=cfg.dim, points=tuple(vec_sub(p, c) for p in cfg.points) + (origin,)
-    )
+    with_c = PointConfig(dim=cfg.dim, points=(*cfg.points, tuple(map(Fraction, c))))
     units = {i: [i] for i in range(n)}
     report, _ = _removal_scan(
-        shifted, [range(n), [n]], units, budget=budget, scan="depth_oracle"
+        with_c, [range(n), [n]], units, budget=budget, scan="depth_oracle"
     )
     return report.tolerance + 1
 

@@ -70,6 +70,7 @@ def test_bound_missing_argument_is_invalid(capsys):
         ["plain", "--n", "100"],
         ["epsilon", "--t", "2", "--eps", "0.1"],
         ["reay", "--n", "100", "--k", "2"],
+        ["colored", "--n", "100"],
     ],
 )
 def test_bound_with_no_parts_is_invalid(capsys, argv):

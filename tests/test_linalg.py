@@ -1,13 +1,15 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tverberg.linalg import (
     as_vector,
     clear_denominators,
     dot,
+    int_det,
     kernel_vector,
     primitive,
     row_basis,
@@ -77,6 +79,40 @@ def test_clear_denominators_preserves_signs():
 def test_primitive_divides_out_gcd():
     assert primitive((6, -9, 12)) == (2, -3, 4)
     assert primitive((0, 0, 5)) == (0, 0, 1)
+
+
+def _leibniz_det(rows):
+    """The determinant as a signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        term = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        for row, j in zip(rows, perm):
+            term *= row[j]
+        total += term
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5]), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+# Zero leading pivots that force a row swap at the first and second steps,
+# and singular matrices: a zero column, and dependent rows found only after
+# a step of elimination.
+@example([])
+@example([[7]])
+@example([[0, 1], [1, 0]])
+@example([[0, 2, 1, 3], [0, 0, 4, 1], [5, 1, 0, 2], [0, 0, 0, 7]])
+@example([[0, 0], [0, 5]])
+@example([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+def test_int_det_matches_leibniz(rows):
+    assert int_det(rows) == _leibniz_det(rows)
 
 
 def test_int_rank():

@@ -11,7 +11,7 @@ from tverberg.engine import random_partition
 from tverberg.gen import uniform_ball
 from tverberg.geometry import PointConfig, make_config
 from tverberg.lift import lift_partition
-from tverberg.linalg import solve_linear
+from tverberg.linalg import clear_denominators, solve_linear
 from tverberg.lp import ConvexWitness, _solve_feasibility, hulls_intersect, origin_in_hull
 from tverberg.partition import Partition
 
@@ -140,8 +140,45 @@ def test_search_sized_hulls_witness_pinned():
     )
 
 
+def test_rational_hulls_witness_pinned():
+    # Three hulls of points with denominators 21 and 49, so the LP's rows
+    # hold different denominators; pinned from the Fraction-column LP.  The
+    # rows share one common denominator: scaling each row apart keeps the
+    # solutions but changes the objective row, and so the pivots.
+    shift = (F(1, 3), F(2, 7))
+    cfg = PointConfig(dim=2, points=tuple(
+        tuple((c + s) / 7 for c, s in zip(p, shift))
+        for p in uniform_ball(20, 2, 1000, 7).points
+    ))
+    result = hulls_intersect(cfg, random_partition(20, 3, 23).parts())
+    assert result is not None
+    point, witness = result
+    assert point == (F(-22388323, 648578), F(5039372, 2270023))
+    nonzero = {
+        3: F(29728637503, 62422760226),
+        5: F(210433, 277962),
+        6: F(67529, 277962),
+        12: F(30992841353, 62422760226),
+        13: F(546961, 1111848),
+        16: F(564887, 1111848),
+        17: F(283546895, 10403793371),
+    }
+    assert witness.coefficients == tuple(
+        (i, nonzero.get(i, F(0))) for i in range(20)
+    )
+
+
 _ZERO = F(0)
 _ONE = F(1)
+
+
+def _integer_rows(columns, rhs):
+    """The system sum_j x_j * columns[j] = rhs as _solve_feasibility's rows
+    [RHS | columns], all over one common denominator."""
+    table = [[b, *(c[i] for c in columns)] for i, b in enumerate(rhs)]
+    flat = clear_denominators([v for row in table for v in row])
+    width = len(columns) + 1
+    return [list(flat[k : k + width]) for k in range(0, len(flat), width)]
 
 
 def _fraction_solve_feasibility(columns, rhs):
@@ -284,7 +321,8 @@ def _tie_heavy_systems(draw, max_rows=7, max_columns=12):
 @example(_ONE_D_HULLS[1])
 def test_integer_simplex_matches_fraction_tableau(system):
     columns, rhs = system
-    assert _solve_feasibility(columns, rhs) == _fraction_solve_feasibility(columns, rhs)
+    got = _solve_feasibility(_integer_rows(columns, rhs))
+    assert got == _fraction_solve_feasibility(columns, rhs)
 
 
 @pytest.mark.parametrize("system", _ONE_D_HULLS)
@@ -296,7 +334,7 @@ def test_an_artificial_that_leaves_never_returns(system, monkeypatch):
     eliminate = lp._eliminate
     monkeypatch.setattr(lp, "_eliminate", lambda *a: calls.append(a) or eliminate(*a))
     columns, rhs = system
-    _solve_feasibility(columns, rhs)
+    _solve_feasibility(_integer_rows(columns, rhs))
     # A pivot eliminates the other m - 1 rows and the objective row.
     assert len(calls) == 2 * len(rhs)
 
@@ -326,7 +364,7 @@ def _basic_solution_exists(columns, rhs):
 @example(_ONE_D_HULLS[1])
 def test_solve_feasibility_matches_a_basic_solution_oracle(system):
     columns, rhs = system
-    x = _solve_feasibility(columns, rhs)
+    x = _solve_feasibility(_integer_rows(columns, rhs))
     assert (x is not None) == _basic_solution_exists(columns, rhs)
     if x is not None:
         assert all(v >= 0 for v in x)
@@ -342,7 +380,7 @@ def _own_system_origin_in_hull(cfg):
     d = cfg.dim
     columns = [[*p, _ONE] for p in cfg.points]
     rhs = [_ZERO] * d + [_ONE]
-    x = _solve_feasibility(columns, rhs)
+    x = _solve_feasibility(_integer_rows(columns, rhs))
     if x is None:
         return None
     witness = ConvexWitness(coefficients=tuple(enumerate(x)))
