@@ -19,8 +19,6 @@ from .bounds import (
 )
 from .depth import DepthCertificate, block_depth, depth
 from .engine import (
-    ColorfulBlockChoice,
-    SignAssignment,
     certified_colored_partition,
     certified_partition,
     certified_reay_partition,
@@ -41,7 +39,7 @@ from .geometry import (
     side_counts,
 )
 from .lift import lift_partition, recover_common_point
-from .lp import ConvexWitness, hulls_intersect, origin_in_hull
+from .lp import hulls_intersect, origin_in_hull
 from .partition import Partition
 from .perms import derangements, forbidden_avoidance_count
 from .verify import (
@@ -59,14 +57,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded",
-    "ColorfulBlockChoice",
-    "ConvexWitness",
     "DepthCertificate",
     "HalfSpace",
     "Partition",
     "PointConfig",
     "ReayReport",
-    "SignAssignment",
     "ToleranceReport",
     "block_depth",
     "carath_depth_bound",

@@ -48,7 +48,7 @@ from .engine import (
     certified_reay_partition,
     unreachable,
 )
-from .geometry import config_to_json, load_config, save_config
+from .geometry import config_to_json, load_config, load_json, save_config
 from .linalg import as_vector, int_from_json
 from .partition import Partition
 from .plot import render_svg
@@ -124,7 +124,7 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 
 
 def _load_partition(path: str) -> Partition:
-    return Partition.from_json(json.loads(Path(path).read_text()))
+    return Partition.from_json(load_json(path))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -287,7 +287,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     partition = _load_partition(args.partition) if args.partition else None
     removal: Optional[List[int]] = None
     if args.report:
-        report = json.loads(Path(args.report).read_text())
+        report = load_json(args.report)
         _require(isinstance(report, dict), "malformed report JSON: expected an object")
         witness = report.get("witness_removal")
         if witness is not None:

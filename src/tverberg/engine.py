@@ -14,7 +14,6 @@ trial's depth search stops at the first half-space that refutes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, TypeVar
 
 from .depth import depth
@@ -34,32 +33,6 @@ DEFAULT_TRIALS = 64
 Report = TypeVar("Report", ToleranceReport, ReayReport)
 
 
-@dataclass(frozen=True)
-class SignAssignment:
-    """One sign per point; the signed copies are signs[i] * points[i]."""
-
-    signs: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not all(s in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be -1 or +1")
-
-    def to_json(self) -> dict:
-        return {"signs": list(self.signs)}
-
-
-@dataclass(frozen=True)
-class ColorfulBlockChoice:
-    """How one color class spreads over the parts: member position pos of
-    the class goes to part images[pos]."""
-
-    images: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError("images must be a permutation of 1..r")
-
-
 def random_partition(n: int, r: int, seed: int) -> Partition:
     """Partition of n points with labels drawn uniformly from 1..r."""
     if n < 1:
@@ -70,11 +43,12 @@ def random_partition(n: int, r: int, seed: int) -> Partition:
     return Partition(r, tuple(rng.next_below(r) + 1 for _ in range(n)))
 
 
-def random_block_choice(r: int, seed: int) -> ColorfulBlockChoice:
-    """Uniform assignment of one class's r points onto the r parts."""
+def random_block_choice(r: int, seed: int) -> Tuple[int, ...]:
+    """Uniform assignment of one class's r points onto the r parts, as a
+    permutation of 1..r: the member at position pos goes to part perm[pos]."""
     if r < 1:
         raise ValueError("need at least one part")
-    return ColorfulBlockChoice(tuple(SplitMix64(seed).permutation(r)))
+    return tuple(SplitMix64(seed).permutation(r))
 
 
 def unreachable(
@@ -174,8 +148,9 @@ def sign_assignment(
     cfg: PointConfig,
     seed: int,
     max_trials: int = DEFAULT_TRIALS,
-) -> Tuple[SignAssignment, int]:
-    """Best random sign flip over max_trials trials.
+) -> Tuple[Tuple[int, ...], int]:
+    """Best random sign flip over max_trials trials, as (signs, score): one
+    sign in {-1, +1} per point, the signed copies being signs[i] * points[i].
 
     The score of an assignment is the origin's half-space depth among
     the signed points minus one: the number of signed points one may
@@ -186,7 +161,7 @@ def sign_assignment(
         raise ValueError("need at least one trial")
     n = len(cfg.points)
     origin = (0,) * cfg.dim
-    best: Optional[Tuple[SignAssignment, int]] = None
+    best: Optional[Tuple[Tuple[int, ...], int]] = None
     for i in range(max_trials):
         rng = SplitMix64(substream_seed(seed, i))
         signs = tuple(rng.next_sign() for _ in range(n))
@@ -201,7 +176,7 @@ def sign_assignment(
         at_least = None if best is None else best[1] + 2
         tolerance = depth(signed, origin, at_least=at_least).depth - 1
         if best is None or tolerance > best[1]:
-            best = (SignAssignment(signs), tolerance)
+            best = (signs, tolerance)
     assert best is not None
     return best
 

@@ -8,22 +8,28 @@ Duplicate points may occur in random output and are legal everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from itertools import product
 
 from .geometry import PointConfig
 from .linalg import Vector
 from .rng import SplitMix64
 
-MAX_GRID_POINTS = 100_000
+MAX_POINTS = 100_000  # every generator refuses more points before building any
 # Ball points are drawn by rejection from the surrounding cube, which accepts
 # at least ~0.016 of the draws up to dimension 8 and ~2e-14 in dimension 30.
 MAX_BALL_DIM = 8
 
 
-def line_points(n: int) -> PointConfig:
-    """The integers 1..n on the real line."""
+def _check_count(n: int) -> None:
     if n < 1:
         raise ValueError("need at least one point")
+    if n > MAX_POINTS:
+        raise ValueError(f"{n} points exceed the cap of {MAX_POINTS}")
+
+
+def line_points(n: int) -> PointConfig:
+    """The integers 1..n on the real line."""
+    _check_count(n)
     return PointConfig(dim=1, points=tuple((Fraction(i),) for i in range(1, n + 1)))
 
 
@@ -33,12 +39,11 @@ def grid_points(side: int, dim: int) -> PointConfig:
         raise ValueError("side must be positive")
     if dim < 1:
         raise ValueError("dimension must be positive")
-    if side**dim > MAX_GRID_POINTS:
-        raise ValueError(f"grid would have {side**dim} points, cap is {MAX_GRID_POINTS}")
-    points: List[Vector] = [()]
-    for _ in range(dim):
-        points = [p + (Fraction(v),) for p in points for v in range(side)]
-    return PointConfig(dim=dim, points=tuple(points))
+    # Any side >= 2 passes the cap by dimension 17 (2**17 > MAX_POINTS): stop there.
+    if side ** min(dim, MAX_POINTS.bit_length()) > MAX_POINTS:
+        raise ValueError(f"grid would have {side}^{dim} points, cap is {MAX_POINTS}")
+    axis = [Fraction(v) for v in range(side)]
+    return PointConfig(dim=dim, points=tuple(product(axis, repeat=dim)))
 
 
 def _ball_point(rng: SplitMix64, dim: int, radius: int) -> Vector:
@@ -51,8 +56,7 @@ def _ball_point(rng: SplitMix64, dim: int, radius: int) -> Vector:
 
 def uniform_ball(n: int, dim: int, radius: int, seed: int) -> PointConfig:
     """n integer points drawn uniformly from the ball of the given radius."""
-    if n < 1:
-        raise ValueError("need at least one point")
+    _check_count(n)
     if dim < 1:
         raise ValueError("dimension must be positive")
     if dim > MAX_BALL_DIM:

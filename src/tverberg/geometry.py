@@ -152,7 +152,15 @@ def load_config(path: str | Path) -> PointConfig:
     p = Path(path)
     if p.suffix.lower() == ".csv":
         return load_csv(p)
-    return config_from_json(json.loads(p.read_text()))
+    return config_from_json(load_json(p))
+
+
+def load_json(path: str | Path) -> object:
+    """Parse a JSON file; nesting too deep for the parser is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def load_csv(path: str | Path) -> PointConfig:
@@ -164,10 +172,13 @@ def load_csv(path: str | Path) -> PointConfig:
     """
     rows: list[list[str]] = []
     with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            cells = [c.strip() for c in rec if c.strip() != ""]
-            if cells:
-                rows.append(cells)
+        try:
+            for rec in csv.reader(fh):
+                cells = [c.strip() for c in rec if c.strip() != ""]
+                if cells:
+                    rows.append(cells)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"{path}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0])

@@ -58,7 +58,7 @@ def recover_common_point(
     # part's weight mass.
     part_ids = range(1, p.r + 1)
     sums: dict[int, list[Fraction]] = {j: [_ZERO] * (cfg.dim + 1) for j in part_ids}
-    for j, w in dict(lifted_witness.coefficients).items():
+    for j, w in dict(lifted_witness).items():
         if not 0 <= j < len(cfg.points):
             raise ValueError(f"witness refers to unknown lifted point {j}")
         if w < 0:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 

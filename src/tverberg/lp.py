@@ -16,7 +16,6 @@ before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -26,16 +25,9 @@ from .linalg import Vector
 
 _ZERO = Fraction(0)
 
-
-@dataclass(frozen=True)
-class ConvexWitness:
-    """Convex coefficients indexed by point.
-
-    ``coefficients`` lists (point index, weight) for every participating
-    point; weights are nonnegative and each part's weights sum to one.
-    """
-
-    coefficients: tuple[tuple[int, Fraction], ...]
+# Convex coefficients: (point index, weight) for every point of a part, in
+# index order; the weights are nonnegative and each part's sum to one.
+ConvexWitness = tuple[tuple[int, Fraction], ...]
 
 
 def _solve_feasibility(rows: Sequence[Sequence[int]]) -> list[Fraction] | None:
@@ -113,7 +105,7 @@ def origin_in_hull(cfg: PointConfig) -> ConvexWitness | None:
     found = hulls_intersect(extended, [range(n), [n]])
     if found is None:
         return None
-    return ConvexWitness(coefficients=found[1].coefficients[:n])
+    return found[1][:n]
 
 
 def hulls_intersect(
@@ -162,7 +154,7 @@ def hulls_intersect(
         return None
 
     weights = {i: w for (gpos, i), w in zip(var_index, x)}
-    witness = ConvexWitness(coefficients=tuple(sorted(weights.items())))
+    witness = tuple(sorted(weights.items()))
     point = tuple(
         sum((weights[i] * cfg.points[i][k] for i in groups[0] if weights[i]), _ZERO)
         for k in range(d)
@@ -177,7 +169,7 @@ def _check_hulls_witness(
     witness: ConvexWitness,
     point: Vector,
 ) -> None:
-    weights = dict(witness.coefficients)
+    weights = dict(witness)
     for g in groups:
         total = _ZERO
         acc = [_ZERO] * cfg.dim

@@ -42,11 +42,6 @@ class Partition:
             out[l - 1].append(i)
         return out
 
-    def part(self, part_id: int) -> list[int]:
-        if not 1 <= part_id <= self.r:
-            raise ValueError(f"part id {part_id} out of range 1..{self.r}")
-        return [i for i, l in enumerate(self.labels) if l == part_id]
-
     def to_json(self) -> dict:
         return {"r": self.r, "labels": list(self.labels)}
 

@@ -203,7 +203,7 @@ def _removal_scan(
                 break
             if s == 0:
                 common = result[0]
-            support = {bit_of.get(i, 0) for i, w in result[1].coefficients if w}
+            support = {bit_of.get(i, 0) for i, w in result[1] if w}
             supports.append(sum(support))
         else:
             continue

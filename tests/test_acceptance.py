@@ -190,7 +190,7 @@ def test_criterion_6_derangement_suite():
         for s in range(trials)
         if any(
             pos + 1 == img
-            for pos, img in enumerate(random_block_choice(3, seed=s).images)
+            for pos, img in enumerate(random_block_choice(3, seed=s))
         )
     )
     p = 2 / 3
@@ -267,7 +267,7 @@ def test_criterion_7_witness_integrity():
             checked += 1
             removal = set(rep.witness_removal)
             survivors = [
-                [i for i in p.part(j) if i not in removal] for j in parts
+                [i for i in p.parts()[j - 1] if i not in removal] for j in parts
             ]
             if hulls_intersect(cfg, survivors) is not None:
                 failures += 1

@@ -584,6 +584,47 @@ def test_requests_that_never_finish_are_invalid(argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["depth", "{deep}"], "JSON nested too deeply to read"),
+        (["verify", "{grid}", "{deep}"], "JSON nested too deeply to read"),
+        (["plot", "{grid}", "--report", "{deep}"], "JSON nested too deeply to read"),
+        (["depth", "{wide}"], "field larger than field limit (131072)"),
+    ],
+    ids=["deep-config", "deep-partition", "deep-report", "wide-csv-field"],
+)
+def test_unparsable_files_are_invalid(capsys, tmp_path, argv, message):
+    # JSON nested past the recursion limit once exited 1 with a RecursionError
+    # traceback, and a CSV field past csv.field_size_limit() with a csv.Error.
+    paths = {"deep": tmp_path / "deep.json", "wide": tmp_path / "wide.csv", "grid": tmp_path / "grid.json"}
+    paths["deep"].write_text("[" * 100_000 + "]" * 100_000)
+    paths["wide"].write_text("1," + "1" * 131_073 + "\n")
+    assert run_cli(capsys, "gen", "grid", "--side", "3", "--out", str(paths["grid"]))[0] == 0
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["line", "--n", "100001"], "100001 points exceed the cap of 100000"),
+        (["uniform-ball", "--n", "100001"], "100001 points exceed the cap of 100000"),
+        (
+            ["colored-classes", "--classes", "50001", "--r", "2"],
+            "100002 points exceed the cap of 100000",
+        ),
+        (["grid", "--side", "2", "--dim", "100000"], "grid would have 2^100000 points"),
+    ],
+    ids=["line", "uniform-ball", "colored-classes", "grid-2^100000"],
+)
+def test_every_generator_refuses_past_the_point_cap(capsys, argv, message):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bound", "epsilon", "--t", str(10**15), "--d", "2", "--r", "2", "--eps", "0.5"],

@@ -6,7 +6,7 @@ import pytest
 
 from tverberg.gen import (
     MAX_BALL_DIM,
-    MAX_GRID_POINTS,
+    MAX_POINTS,
     colored_classes,
     grid_points,
     line_points,
@@ -34,9 +34,31 @@ def test_grid_points_covers_cube():
 
 
 def test_grid_points_size_cap():
-    side = int(MAX_GRID_POINTS**0.5) + 2
+    side = int(MAX_POINTS**0.5) + 2
     with pytest.raises(ValueError, match="cap"):
         grid_points(side, 2)
+    # 2^100000 has 30,103 digits, past int-to-str's 4,300-digit limit; the
+    # message writes the power instead, and the check never builds 2^100000.
+    with pytest.raises(ValueError, match=r"grid would have 2\^100000 points, cap is 100000"):
+        grid_points(2, 100_000)
+    # A side of 1 is one point in any dimension, and is not refused.
+    assert grid_points(1, 40).points == ((F(0),) * 40,)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: line_points(n),
+        lambda n: uniform_ball(n, 2, 5, 0),
+        lambda n: colored_classes(n // 2, 2, dim=2, radius=5, seed=0),
+    ],
+    ids=["line", "uniform-ball", "colored-classes"],
+)
+def test_every_generator_has_the_point_cap(make):
+    # Refused before any point is drawn: a regression would build 100,002
+    # points here, so the refusal is also fast.
+    with pytest.raises(ValueError, match=f"{MAX_POINTS + 2} points exceed the cap of 100000"):
+        make(MAX_POINTS + 2)
 
 
 def test_uniform_ball_inside_radius_and_seeded():

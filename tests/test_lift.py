@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tverberg.geometry import PointConfig
 from tverberg.lift import lift_partition, recover_common_point
 from tverberg.linalg import clear_denominators, row_basis
-from tverberg.lp import ConvexWitness, hulls_intersect, origin_in_hull
+from tverberg.lp import hulls_intersect, origin_in_hull
 from tverberg.partition import Partition
 
 from conftest import all_labelings, point_in_hull, random_int_config
@@ -94,9 +94,7 @@ def _lifted_witness(cfg, p, removal=()):
     found = origin_in_hull(lift_partition(sub_cfg, sub_p))
     if found is None:
         return None
-    return ConvexWitness(
-        coefficients=tuple((members[j], w) for j, w in found.coefficients)
-    )
+    return tuple((members[j], w) for j, w in found)
 
 
 def test_recover_symmetric_instance_balanced_witness_gives_origin():
@@ -106,7 +104,7 @@ def test_recover_symmetric_instance_balanced_witness_gives_origin():
     )
     p = Partition(r=2, labels=(1, 1, 2, 2))
     quarter = F(1, 4)
-    balanced = ConvexWitness(coefficients=tuple((j, quarter) for j in range(4)))
+    balanced = tuple((j, quarter) for j in range(4))
     assert recover_common_point(cfg, p, balanced) == (F(0),)
     # Whatever witness the solver picks must still recover a common point.
     solved = _lifted_witness(cfg, p)
@@ -132,7 +130,7 @@ def test_recover_point_lies_in_every_surviving_part():
 def test_recover_rejects_negative_weight():
     cfg = PointConfig(dim=1, points=((F(1),), (F(-1),)))
     p = Partition(r=2, labels=(1, 2))
-    bad = ConvexWitness(coefficients=((0, F(3, 2)), (1, F(-1, 2))))
+    bad = ((0, F(3, 2)), (1, F(-1, 2)))
     with pytest.raises(ValueError, match="negative"):
         recover_common_point(cfg, p, bad)
 
@@ -140,7 +138,7 @@ def test_recover_rejects_negative_weight():
 def test_recover_rejects_unknown_lifted_index():
     cfg = PointConfig(dim=1, points=((F(1),), (F(-1),)))
     p = Partition(r=2, labels=(1, 2))
-    bad = ConvexWitness(coefficients=((5, F(1)),))
+    bad = ((5, F(1)),)
     with pytest.raises(ValueError, match="unknown"):
         recover_common_point(cfg, p, bad)
 
@@ -149,7 +147,7 @@ def test_recover_rejects_non_witness_weights():
     # Valid indices, but the weights do not place the origin.
     cfg = PointConfig(dim=1, points=((F(1),), (F(-1),)))
     p = Partition(r=2, labels=(1, 2))
-    bad = ConvexWitness(coefficients=((0, F(3, 4)), (1, F(1, 4))))
+    bad = ((0, F(3, 4)), (1, F(1, 4)))
     with pytest.raises(ValueError, match="re-substitution"):
         recover_common_point(cfg, p, bad)
 
@@ -190,7 +188,7 @@ def _lifted_recover_common_point(cfg, p, lifted_witness):
     """recover_common_point as it ran when it re-lifted the partition and
     re-substituted the witness in lifted space; the reference below."""
     lift = lift_partition(cfg, p)
-    weights = dict(lifted_witness.coefficients)
+    weights = dict(lifted_witness)
 
     total = _ZERO
     acc = [_ZERO] * lift.dim
@@ -249,11 +247,11 @@ def _recovery_cases(draw):
     p = Partition(r=r, labels=tuple(labels))
     removal = draw(st.sets(st.integers(0, n - 1), max_size=2))
     found = _lifted_witness(cfg, p, removal)
-    weights = dict(found.coefficients) if found is not None else {}
+    weights = dict(found) if found is not None else {}
     kind = draw(st.sampled_from(["lp", "scaled", "moved", "moved", "random"]))
     index = st.integers(-1, n)
     if draw(st.booleans()):  # move weight inside one part, keeping its mass
-        index = st.sampled_from(p.part(draw(st.integers(1, r))) or [n])
+        index = st.sampled_from(p.parts()[draw(st.integers(1, r)) - 1] or [n])
     if kind == "scaled":
         k = draw(st.sampled_from([F(0), F(1, 2), F(2)]))
         weights = {j: k * w for j, w in weights.items()}
@@ -269,7 +267,7 @@ def _recovery_cases(draw):
         total = sum(weights.values(), _ZERO)
         if total > 0 and draw(st.booleans()):
             weights = {j: w / total for j, w in weights.items()}
-    witness = ConvexWitness(coefficients=tuple(weights.items()))
+    witness = tuple(weights.items())
     return cfg, p, witness
 
 
@@ -282,7 +280,7 @@ def _recovery(fn, case):
 
 def _case(points, labels, weights):
     cfg = PointConfig(dim=1, points=tuple((F(v),) for v in points))
-    witness = ConvexWitness(coefficients=tuple(enumerate(weights)))
+    witness = tuple(enumerate(weights))
     return cfg, Partition(r=max(labels), labels=labels), witness
 
 

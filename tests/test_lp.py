@@ -12,7 +12,7 @@ from tverberg.gen import uniform_ball
 from tverberg.geometry import PointConfig, make_config
 from tverberg.lift import lift_partition
 from tverberg.linalg import clear_denominators, solve_linear
-from tverberg.lp import ConvexWitness, _solve_feasibility, hulls_intersect, origin_in_hull
+from tverberg.lp import _solve_feasibility, hulls_intersect, origin_in_hull
 from tverberg.partition import Partition
 
 from conftest import brute_origin_in_hull, point_in_hull, random_int_config
@@ -23,7 +23,7 @@ F = Fraction
 def test_origin_inside_segment():
     w = origin_in_hull(make_config([(1,), (-1,)]))
     assert w is not None
-    coeffs = dict(w.coefficients)
+    coeffs = dict(w)
     assert sum(coeffs.values()) == 1
     assert all(v >= 0 for v in coeffs.values())
 
@@ -48,7 +48,7 @@ def test_witness_reconstructs_origin():
     cfg = make_config([(2, 0), (-1, 1), (-1, -1)])
     w = origin_in_hull(cfg)
     assert w is not None
-    coeffs = dict(w.coefficients)
+    coeffs = dict(w)
     for t in range(2):
         assert sum(c * cfg.points[i][t] for i, c in coeffs.items()) == 0
 
@@ -135,7 +135,7 @@ def test_search_sized_hulls_witness_pinned():
     point, witness = result
     assert point == (F(542), F(650))
     nonzero = {0: F(1), 7: F(105961, 163966), 11: F(19611, 163966), 40: F(19197, 81983)}
-    assert witness.coefficients == tuple(
+    assert witness == tuple(
         (i, nonzero.get(i, F(0))) for i in range(68)
     )
 
@@ -163,7 +163,7 @@ def test_rational_hulls_witness_pinned():
         16: F(564887, 1111848),
         17: F(283546895, 10403793371),
     }
-    assert witness.coefficients == tuple(
+    assert witness == tuple(
         (i, nonzero.get(i, F(0))) for i in range(20)
     )
 
@@ -383,7 +383,7 @@ def _own_system_origin_in_hull(cfg):
     x = _solve_feasibility(_integer_rows(columns, rhs))
     if x is None:
         return None
-    witness = ConvexWitness(coefficients=tuple(enumerate(x)))
+    witness = tuple(enumerate(x))
     _check_origin_witness(cfg, witness)
     return witness
 
@@ -391,7 +391,7 @@ def _own_system_origin_in_hull(cfg):
 def _check_origin_witness(cfg, witness):
     total = _ZERO
     acc = [_ZERO] * cfg.dim
-    for i, w in witness.coefficients:
+    for i, w in witness:
         if w < 0:
             raise AssertionError("negative convex coefficient")
         if w:  # a zero weight adds exactly nothing
@@ -437,5 +437,5 @@ def _membership_queries(draw):
 @example(make_config([(2, 0), (-1, 0), (0, 3), (2, 0)]))
 @example(make_config([(0, 0), (1, 2), (0, 0)]))
 def test_origin_in_hull_matches_its_own_system(cfg):
-    # ConvexWitness equality compares coefficients exactly.
+    # Witness equality compares the weights exactly.
     assert origin_in_hull(cfg) == _own_system_origin_in_hull(cfg)

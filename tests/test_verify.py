@@ -13,7 +13,7 @@ from tverberg.engine import certified_partition
 from tverberg.gen import line_points, uniform_ball
 from tverberg.geometry import PointConfig
 from tverberg.lift import lift_partition, recover_common_point
-from tverberg.lp import ConvexWitness, hulls_intersect
+from tverberg.lp import hulls_intersect
 from tverberg.partition import Partition
 from tverberg.plot import render_svg
 from tverberg import verify
@@ -229,7 +229,7 @@ def test_lifted_route_rejects_exhaustive_knobs(compute, knob):
     "check",
     [
         lambda cfg, p: lift_partition(cfg, p),
-        lambda cfg, p: recover_common_point(cfg, p, ConvexWitness(((0, F(1)),))),
+        lambda cfg, p: recover_common_point(cfg, p, ((0, F(1)),)),
         lambda cfg, p: tolerance_by_lifted_depth(cfg, p),
         lambda cfg, p: tolerance_exhaustive(cfg, p),
         lambda cfg, p: colored_tolerance(cfg, p),
