@@ -36,7 +36,6 @@ from .geometry import (
     load_csv,
     make_config,
     save_config,
-    side_counts,
 )
 from .lift import lift_partition, recover_common_point
 from .lp import hulls_intersect, origin_in_hull
@@ -95,7 +94,6 @@ __all__ = [
     "reay_tolerance_from_m",
     "recover_common_point",
     "save_config",
-    "side_counts",
     "sign_assignment",
     "sign_tolerance_from_n",
     "tolerance_by_lifted_depth",

@@ -123,10 +123,6 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
     return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
-def _load_partition(path: str) -> Partition:
-    return Partition.from_json(load_json(path))
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
@@ -246,7 +242,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check_budget(args.budget, "--budget")
     _require(args.k is None or args.mode == "reay", "--k applies to reay mode only")
     cfg = load_config(args.input)
-    p = _load_partition(args.partition)
+    p = Partition.from_json(load_json(args.partition))
     if args.mode == "plain":
         if method == LIFTED:
             report = tolerance_by_lifted_depth(cfg, p)
@@ -284,7 +280,9 @@ def cmd_depth(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     cfg = load_config(args.input)
-    partition = _load_partition(args.partition) if args.partition else None
+    partition = (
+        Partition.from_json(load_json(args.partition)) if args.partition else None
+    )
     removal: Optional[List[int]] = None
     if args.report:
         report = load_json(args.report)

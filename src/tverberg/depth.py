@@ -49,6 +49,7 @@ single integer normal.  A caller that asks only whether the depth reaches
 
 from __future__ import annotations
 
+import reprlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -381,7 +382,7 @@ def _blocks_to_labels(cfg: PointConfig, blocks: Sequence[Sequence[int]]) -> list
             labels[i] = b
     if any(l == -1 for l in labels):
         missing = [i for i, l in enumerate(labels) if l == -1]
-        raise ValueError(f"blocks do not cover point indices {missing}")
+        raise ValueError(f"blocks do not cover point indices {reprlib.repr(missing)}")
     return labels
 
 

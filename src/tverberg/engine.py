@@ -86,8 +86,12 @@ def certified_partition(
 ) -> Optional[Tuple[Partition, ToleranceReport]]:
     """First random partition (over max_trials seeded trials) whose
     certified tolerance reaches t_target, or None."""
+    _check_search(r, t_target, max_trials)
+    if unreachable(cfg, t_target, r) is not None:
+        return None
+    draw = lambda s: random_partition(len(cfg.points), r, s)
     certify = lambda p: tolerance_by_lifted_depth(cfg, p, at_least=t_target)
-    return _certified_labeling(cfg, r, t_target, seed, max_trials, certify)
+    return _first_certified(draw, certify, seed, max_trials)
 
 
 def certified_colored_partition(
@@ -125,9 +129,8 @@ def certified_colored_partition(
                 labels[idx] = perm[pos]
         return Partition(r, tuple(labels))
 
-    return _first_certified(
-        draw, lambda p: colored_tolerance(cfg, p, at_least=t_target), seed, max_trials
-    )
+    certify = lambda p: colored_tolerance(cfg, p, at_least=t_target)
+    return _first_certified(draw, certify, seed, max_trials)
 
 
 def certified_reay_partition(
@@ -140,8 +143,14 @@ def certified_reay_partition(
 ) -> Optional[Tuple[Partition, ReayReport]]:
     """Random partitions until every k of the r hulls tolerates t_target
     removals, or None."""
+    _check_search(r, t_target, max_trials)
+    if not 2 <= k <= r:
+        raise ValueError("k must lie in 2..r")
+    if unreachable(cfg, t_target, r) is not None:
+        return None
+    draw = lambda s: random_partition(len(cfg.points), r, s)
     certify = lambda p: reay_tolerance(cfg, p, k, at_least=t_target)
-    return _certified_labeling(cfg, r, t_target, seed, max_trials, certify, k)
+    return _first_certified(draw, certify, seed, max_trials)
 
 
 def sign_assignment(
@@ -179,25 +188,6 @@ def sign_assignment(
             best = (signs, tolerance)
     assert best is not None
     return best
-
-
-def _certified_labeling(
-    cfg: PointConfig,
-    r: int,
-    t_target: int,
-    seed: int,
-    max_trials: int,
-    certify: Callable[[Partition], Report],
-    k: Optional[int] = None,
-) -> Optional[Tuple[Partition, Report]]:
-    """certified_partition, or with k certified_reay_partition."""
-    _check_search(r, t_target, max_trials)
-    if k is not None and not 2 <= k <= r:
-        raise ValueError("k must lie in 2..r")
-    if unreachable(cfg, t_target, r) is not None:
-        return None
-    draw = lambda s: random_partition(len(cfg.points), r, s)
-    return _first_certified(draw, certify, seed, max_trials)
 
 
 def _first_certified(

@@ -39,6 +39,8 @@ def grid_points(side: int, dim: int) -> PointConfig:
         raise ValueError("side must be positive")
     if dim < 1:
         raise ValueError("dimension must be positive")
+    if dim > MAX_POINTS:  # a side of 1 is one point, but one of dim coordinates
+        raise ValueError(f"grid dimension {dim} exceeds the cap of {MAX_POINTS}")
     # Any side >= 2 passes the cap by dimension 17 (2**17 > MAX_POINTS): stop there.
     if side ** min(dim, MAX_POINTS.bit_length()) > MAX_POINTS:
         raise ValueError(f"grid would have {side}^{dim} points, cap is {MAX_POINTS}")

@@ -1,4 +1,4 @@
-"""Point configurations in rational d-space and closed half-space queries.
+"""Point configurations in rational d-space.
 
 The JSON form keeps every coordinate as a "num/den" string so that files
 round-trip exactly.  CSV input accepts either "p/q" entries or exact decimal
@@ -10,19 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .linalg import (
-    Vector,
-    as_vector,
-    dot,
-    int_from_json,
-    scalar_from_str,
-    scalar_to_str,
-)
+from .linalg import Vector, as_vector, int_from_json, scalar_from_str, scalar_to_str
 
 
 @dataclass(frozen=True)
@@ -39,7 +33,8 @@ class PointConfig:
         for p in self.points:
             if len(p) != self.dim:
                 raise ValueError(
-                    f"point {p} has {len(p)} coordinates, expected {self.dim}"
+                    f"point {reprlib.repr(p)} has {len(p)} coordinates, "
+                    f"expected {self.dim}"
                 )
         if self.colors is not None and len(self.colors) != len(self.points):
             raise ValueError("colors must align one-to-one with points")
@@ -65,9 +60,6 @@ class HalfSpace:
         if all(a == 0 for a in self.normal):
             raise ValueError("half-space normal must be nonzero")
 
-    def contains(self, x: Vector) -> bool:
-        return dot(self.normal, x) >= self.offset
-
     def to_json(self) -> dict:
         return {
             "normal": [scalar_to_str(x) for x in self.normal],
@@ -87,26 +79,6 @@ def make_config(
         points=pts,
         colors=tuple(colors) if colors is not None else None,
     )
-
-
-def side_counts(cfg: PointConfig, h: HalfSpace) -> tuple[int, int, int]:
-    """(strictly inside, on boundary, strictly outside) counts for h.
-
-    Inside means <normal, x> > offset; the closed half-space holds
-    inside + boundary points.
-    """
-    if len(h.normal) != cfg.dim:
-        raise ValueError("half-space dimension does not match the configuration")
-    inside = boundary = outside = 0
-    for p in cfg.points:
-        s = dot(h.normal, p)
-        if s > h.offset:
-            inside += 1
-        elif s == h.offset:
-            boundary += 1
-        else:
-            outside += 1
-    return inside, boundary, outside
 
 
 def config_to_json(cfg: PointConfig) -> dict:

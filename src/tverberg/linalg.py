@@ -14,6 +14,7 @@ point is used anywhere in this module.
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -49,20 +50,23 @@ def scalar_from_str(text: str) -> Fraction:
     10**999999999 exactly.
     """
     if not isinstance(text, str):
-        raise ValueError(f"expected a number string, got {text!r}")
+        raise ValueError(f"expected a number string, got {reprlib.repr(text)}")
     if "e" in text or "E" in text:
-        raise ValueError(f"decimal exponents are not accepted: {text!r}")
+        raise ValueError(f"decimal exponents are not accepted: {reprlib.repr(text)}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {reprlib.repr(text)}") from None
+    except ValueError as exc:  # Fraction's message repeats the whole literal
+        s = text.strip()
+        raise ValueError(str(exc).replace(repr(s), reprlib.repr(s))) from None
 
 
 def int_from_json(value: object, what: str) -> int:
     """A JSON integer as is; booleans and other numbers raise ValueError
     rather than being truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, not {value!r}")
+        raise ValueError(f"{what} must be an integer, not {reprlib.repr(value)}")
     return value
 
 

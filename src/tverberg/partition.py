@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 from .geometry import PointConfig
@@ -25,7 +26,7 @@ class Partition:
             raise ValueError("a partition needs at least one part")
         bad = [l for l in self.labels if not 1 <= l <= self.r]
         if bad:
-            raise ValueError(f"labels {bad} fall outside 1..{self.r}")
+            raise ValueError(f"labels {reprlib.repr(bad)} fall outside 1..{self.r}")
 
     def check(self, cfg: PointConfig, lift: bool = False) -> None:
         """Raise ValueError unless the labels match cfg's points one to one

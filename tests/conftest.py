@@ -88,6 +88,14 @@ def all_labelings(n: int, r: int):
     return product(range(1, r + 1), repeat=n)
 
 
+def labelings_up_to_relabelling(n: int, r: int):
+    """One labeling per split of n points into r nonempty parts: the one
+    whose labels first appear in the order 1..r."""
+    for labels in all_labelings(n, r):
+        if list(dict.fromkeys(labels)) == list(range(1, r + 1)):
+            yield labels
+
+
 def point_in_hull(point: Vec, points: Sequence[Vec]) -> bool:
     """point in conv(points), by translating to the origin."""
     shifted = [tuple(x - y for x, y in zip(p, point)) for p in points]

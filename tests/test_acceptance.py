@@ -24,8 +24,8 @@ from tverberg.engine import (
     random_partition,
 )
 from tverberg.gen import colored_classes, line_points, uniform_ball
-from tverberg.geometry import side_counts
 from tverberg.lift import lift_partition
+from tverberg.linalg import dot
 from tverberg.lp import hulls_intersect
 from tverberg.partition import Partition
 from tverberg.perms import derangements, forbidden_avoidance_count
@@ -205,11 +205,16 @@ def test_criterion_6_derangement_suite():
     )
 
 
+def _closed_side(cfg, h):
+    """Points of cfg in the closed half-space h (inside + boundary),
+    counted by substitution."""
+    return sum(dot(h.normal, q) >= h.offset for q in cfg.points)
+
+
 def _plain_integrity(cfg, p, report):
     lifted_cfg = lift_partition(cfg, p)
     cert = report.certificate
-    inside, boundary, _ = side_counts(lifted_cfg, cert.witness)
-    if inside + boundary != cert.depth or cert.witness.offset > 0:
+    if _closed_side(lifted_cfg, cert.witness) != cert.depth or cert.witness.offset > 0:
         return False
     removal = set(report.witness_removal)
     survivors = [[i for i in part if i not in removal] for part in p.parts()]
@@ -278,8 +283,7 @@ def test_criterion_7_witness_integrity():
             cfg = random_int_config(7, d, seed=800 + 13 * d + seed)
             cert = depth(cfg, (0,) * d)
             checked += 1
-            inside, boundary, _ = side_counts(cfg, cert.witness)
-            if inside + boundary != cert.depth or cert.witness.offset > 0:
+            if _closed_side(cfg, cert.witness) != cert.depth or cert.witness.offset > 0:
                 failures += 1
 
     _report(

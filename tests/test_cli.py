@@ -615,13 +615,59 @@ def test_unparsable_files_are_invalid(capsys, tmp_path, argv, message):
             "100002 points exceed the cap of 100000",
         ),
         (["grid", "--side", "2", "--dim", "100000"], "grid would have 2^100000 points"),
+        (
+            ["grid", "--side", "1", "--dim", "1000000000"],
+            "grid dimension 1000000000 exceeds the cap of 100000",
+        ),
     ],
-    ids=["line", "uniform-ball", "colored-classes", "grid-2^100000"],
+    ids=["line", "uniform-ball", "colored-classes", "grid-2^100000", "grid-dim-10^9"],
 )
 def test_every_generator_refuses_past_the_point_cap(capsys, argv, message):
     code, out, err = run_cli(capsys, "gen", *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+_LINE5 = {"dimension": 1, "points": [["1"], ["2"], ["3"], ["4"], ["5"]]}
+
+
+@pytest.mark.parametrize(
+    "command, config, partition, message",
+    [
+        ("depth", {"dimension": 2, "points": [["1"] * 200_000]}, None, "has 200000 coordinates"),
+        ("depth", {"dimension": 1, "points": [["x" * 10**6]]}, None, "Invalid literal"),
+        ("depth", {"dimension": 1, "points": [["1e" + "1" * 10**6]]}, None, "decimal exponents"),
+        ("depth", {"dimension": 1, "points": [[list(range(10**5))]]}, None, "a number string"),
+        (
+            "verify", _LINE5, {"r": 2, "labels": ["x" * 10**6, 1, 2, 1, 2]},
+            "a label must be an integer",
+        ),
+        ("verify", _LINE5, {"r": 2, "labels": [3] * 10**5}, "fall outside 1..2"),
+        (
+            "blocks", {"dimension": 1, "points": [[str(i)] for i in range(20_000)]}, None,
+            "blocks do not cover point indices [1, 2, 3, 4, 5, 6, ...]",
+        ),
+    ],
+    ids=[
+        "long-point", "long-coordinate", "long-exponent", "list-coordinate",
+        "long-label", "many-bad-labels", "many-uncovered-indices",
+    ],
+)
+def test_malformed_input_is_echoed_in_short(
+    capsys, tmp_path, command, config, partition, message
+):
+    # Each message once repeated its whole input, megabytes of stderr.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    if command == "verify":
+        part = tmp_path / "p.json"
+        part.write_text(json.dumps(partition))
+        argv = ["verify", str(cfg), str(part)]
+    else:
+        argv = ["depth", str(cfg)] + (["--blocks", "0"] if command == "blocks" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and len(err.encode()) <= 300
 
 
 @pytest.mark.parametrize(

@@ -41,8 +41,13 @@ def test_grid_points_size_cap():
     # message writes the power instead, and the check never builds 2^100000.
     with pytest.raises(ValueError, match=r"grid would have 2\^100000 points, cap is 100000"):
         grid_points(2, 100_000)
-    # A side of 1 is one point in any dimension, and is not refused.
+    # A side of 1 is one point in any dimension up to the cap; past it the
+    # check refuses before it builds a single coordinate.
     assert grid_points(1, 40).points == ((F(0),) * 40,)
+    with pytest.raises(ValueError, match="grid dimension 100001 exceeds the cap of 100000"):
+        grid_points(1, MAX_POINTS + 1)
+    with pytest.raises(ValueError, match="grid dimension 1000000000 exceeds the cap"):
+        grid_points(1, 10**9)
 
 
 @pytest.mark.parametrize(

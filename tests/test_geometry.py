@@ -12,38 +12,9 @@ from tverberg.geometry import (
     load_csv,
     make_config,
     save_config,
-    side_counts,
 )
 
 F = Fraction
-
-
-def test_side_counts_line():
-    cfg = make_config([(1,), (-1,)])
-    assert side_counts(cfg, HalfSpace((F(1),), F(0))) == (1, 0, 1)
-
-
-def test_side_counts_square():
-    cfg = make_config([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    assert side_counts(cfg, HalfSpace((F(1), F(0)), F(0))) == (2, 0, 2)
-
-
-def test_side_counts_boundary():
-    cfg = make_config([(0,)])
-    assert side_counts(cfg, HalfSpace((F(1),), F(0))) == (0, 1, 0)
-
-
-def test_side_counts_dimension_mismatch():
-    cfg = make_config([(1, 2)])
-    with pytest.raises(ValueError):
-        side_counts(cfg, HalfSpace((F(1),), F(0)))
-
-
-def test_side_counts_scale_invariant():
-    cfg = make_config([(3, 1), (0, -2), (5, 5), (-1, 0)])
-    h1 = HalfSpace((F(2), F(-1)), F(3))
-    h2 = HalfSpace((F(10), F(-5)), F(15))
-    assert side_counts(cfg, h1) == side_counts(cfg, h2)
 
 
 def test_halfspace_zero_normal_rejected():

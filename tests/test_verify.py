@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tverberg.engine import certified_partition
+from tverberg.engine import certified_partition, random_partition
 from tverberg.gen import line_points, uniform_ball
 from tverberg.geometry import PointConfig
 from tverberg.lift import lift_partition, recover_common_point
+from tverberg.linalg import dot
 from tverberg.lp import hulls_intersect
 from tverberg.partition import Partition
 from tverberg.plot import render_svg
+from tverberg.rng import SplitMix64
 from tverberg import verify
 from tverberg.verify import (
     EXHAUSTIVE,
@@ -30,7 +32,12 @@ from tverberg.verify import (
     tolerance_exhaustive,
 )
 
-from conftest import all_labelings, point_in_hull, random_int_config
+from conftest import (
+    all_labelings,
+    labelings_up_to_relabelling,
+    point_in_hull,
+    random_int_config,
+)
 
 F = Fraction
 
@@ -329,6 +336,37 @@ def test_lifted_tolerance_equals_its_helly_reduction(case):
     assert full == reay_tolerance(cfg, p, min(p.r, cfg.dim + 1)).tolerance
 
 
+def _check_pair_bound(cfg, p):
+    # Removing a pair's witness breaks that pair, so it breaks all three
+    # hulls: the r = 3 tolerance is at most the least pairwise tolerance, and
+    # each pair's witness is a removal that breaks the whole partition.
+    pairs = reay_tolerance(cfg, p, 2)
+    full = tolerance_by_lifted_depth(cfg, p).tolerance
+    assert full <= pairs.tolerance
+    for _, report in pairs.tuples:
+        assert hulls_intersect(cfg, _survivors(p, set(report.witness_removal))) is None
+    return full, pairs.tolerance
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_r3_tolerance_is_at_most_the_pair_minimum(data):
+    dim = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(3, 15))
+    coord = st.integers(-9, 9).map(F)
+    points = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+    labels = data.draw(st.permutations([i % 3 + 1 for i in range(n)]))
+    _check_pair_bound(PointConfig(dim, tuple(points)), Partition(3, tuple(labels)))
+
+
+def test_r3_pair_bound_on_seeded_discs():
+    bounds = [
+        _check_pair_bound(uniform_ball(n, 2, 1000, 0), random_partition(n, 3, 0))
+        for n in (18, 24, 30)
+    ]
+    assert bounds[0] == (-1, 0)  # the bound can be strict
+
+
 def test_report_json_shapes():
     cfg = line_points(6)
     p = Partition(r=2, labels=(1, 2, 1, 2, 1, 2))
@@ -559,9 +597,8 @@ def test_lifted_removal_is_the_witness_side_of_the_lift(data):
     unit_of = range(n) if colors is None else colors
     witness = report.certificate.witness
     lifted = lift_partition(cfg, p)
-    assert report.witness_removal == tuple(
-        sorted({unit_of[j] for j, q in enumerate(lifted.points) if witness.contains(q)})
-    )
+    closed = [j for j, q in enumerate(lifted.points) if dot(witness.normal, q) >= witness.offset]
+    assert report.witness_removal == tuple(sorted({unit_of[j] for j in closed}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -628,3 +665,47 @@ def test_scans_refuse_a_budget_below_one_as_invalid(budget):
     for call in calls:
         with pytest.raises(ValueError, match="budget must be positive"):
             call()
+
+
+def _theorem_configs(n, d, seed, count=12):
+    """count small integer configurations in R^d, taking turns: spread over
+    [-9, 9]^d, crowded onto {-1, 0, 1}^d so that points repeat, and on one
+    line through an integer point."""
+    for i in range(count):
+        s = seed + i
+        if i % 3 < 2:
+            yield random_int_config(n, d, s, spread=9 if i % 3 == 0 else 1)
+        else:
+            base, step = random_int_config(2, d, s).points
+            step = step if any(step) else (F(1),) * d
+            rng = SplitMix64(s)
+            offsets = [rng.next_below(7) - 3 for _ in range(n)]
+            line = [tuple(b + k * u for b, u in zip(base, step)) for k in offsets]
+            yield PointConfig(d, tuple(line))
+
+
+def _first_certified_labeling(cfg, r, t):
+    """The first labeling, up to relabelling the parts, that the lifted route
+    certifies at tolerance >= t, cross-checked by the exhaustive scan."""
+    for labels in labelings_up_to_relabelling(len(cfg.points), r):
+        p = Partition(r, labels)
+        report = tolerance_by_lifted_depth(cfg, p, at_least=t)
+        if report is not None:
+            assert tolerance_exhaustive(cfg, p).tolerance == report.tolerance >= t
+            return p
+    return None
+
+
+@pytest.mark.parametrize(
+    "r, d, t",
+    [(2, 1, 0), (2, 2, 0), (3, 1, 0), (3, 2, 0)]
+    + [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (2, 3, 1)],
+)
+def test_theorem_sized_sets_have_a_tolerant_partition(r, d, t):
+    # Tverberg (1966) at t = 0, and Soberon & Strausz (DCG 47, 2012) beyond:
+    # any (r - 1)(t + 1)(d + 1) + 1 points in R^d have an r-partition of
+    # tolerance >= t; at r = 2, t = 1 that is Larman's 2d + 3.  The theorems'
+    # conditions are closed, so repeated and collinear points qualify too.
+    n = (r - 1) * (t + 1) * (d + 1) + 1
+    for cfg in _theorem_configs(n, d, seed=100 * r + 10 * d + t):
+        assert _first_certified_labeling(cfg, r, t) is not None
