@@ -35,7 +35,6 @@ from .geometry import (
     load_config,
     load_csv,
     make_config,
-    save_config,
 )
 from .lift import lift_partition, recover_common_point
 from .lp import hulls_intersect, origin_in_hull
@@ -93,7 +92,6 @@ __all__ = [
     "reay_tolerance",
     "reay_tolerance_from_m",
     "recover_common_point",
-    "save_config",
     "sign_assignment",
     "sign_tolerance_from_n",
     "tolerance_by_lifted_depth",

@@ -48,7 +48,7 @@ from .engine import (
     certified_reay_partition,
     unreachable,
 )
-from .geometry import config_to_json, load_config, load_json, save_config
+from .geometry import config_to_json, load_config, load_json
 from .linalg import as_vector, int_from_json
 from .partition import Partition
 from .plot import render_svg
@@ -182,10 +182,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _require(args.classes is not None, "colored-classes needs --classes")
         _require(args.r is not None, "colored-classes needs --r")
         cfg = gen.colored_classes(args.classes, args.r, args.dim, args.radius, args.seed)
-    if args.out:
-        save_config(cfg, args.out)
-    else:
-        _emit(config_to_json(cfg))
+    _emit(config_to_json(cfg), args.out or None)
     return EXIT_OK
 
 

@@ -115,10 +115,6 @@ def config_from_json(data: dict) -> PointConfig:
     return PointConfig(dim=dim, points=points, colors=colors)
 
 
-def save_config(cfg: PointConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_json(cfg), indent=2) + "\n")
-
-
 def load_config(path: str | Path) -> PointConfig:
     """Load a configuration from .json or .csv (see module docstring)."""
     p = Path(path)

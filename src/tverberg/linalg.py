@@ -8,8 +8,9 @@ below validate shapes on construction.
 Linear solves clear denominators first and then run fraction-free
 (Bareiss) elimination over the integers, which bounds the intermediate
 entry growth without per-step gcd normalization; integer determinants, and
-through them kernel vectors, run the same elimination loop.  No floating
-point is used anywhere in this module.
+through them kernel vectors, run the same elimination loop.  Row bases and
+the hull LP's simplex share ``eliminate``, the gcd-reduced row step.  No
+floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -38,7 +39,21 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
 
 def scalar_to_str(x: Fraction) -> str:
     """Serialize a scalar as "num/den", keeping the denominator even when 1."""
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
+
+
+# str() refuses an int longer than sys.get_int_max_str_digits() (4,300 digits
+# by default, 640 at the least), so longer ints are written 600 digits at a time.
+_PIECE = 10**600
+
+
+def _digits(n: int) -> str:
+    """str(n), at any length."""
+    head, pieces = abs(n), []
+    while head >= _PIECE:
+        head, low = divmod(head, _PIECE)
+        pieces.append(f"{low:0600d}")
+    return "-" * (n < 0) + str(head) + "".join(reversed(pieces))
 
 
 def scalar_from_str(text: str) -> Fraction:
@@ -133,30 +148,27 @@ def solve_linear(mat: Matrix, rhs: Vector) -> Vector | None:
 
 def row_basis(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Integer row-echelon basis of the span of the given integer vectors."""
-    if not vectors:
-        return []
-    width = len(vectors[0])
-    rows = [list(v) for v in vectors if any(v)]
-    basis: list[list[int]] = []
-    col = 0
-    while rows and col < width:
-        pivot_idx = next((i for i, r in enumerate(rows) if r[col] != 0), None)
-        if pivot_idx is None:
-            col += 1
-            continue
-        pivot_row = rows.pop(pivot_idx)
-        pivot = pivot_row[col]
-        reduced = []
-        for r in rows:
-            if r[col] != 0:
-                lead = r[col]
-                r = [a * pivot - lead * b for a, b in zip(r, pivot_row)]
-            if any(r):
-                reduced.append(list(primitive(r)))
-        rows = reduced
-        basis.append(list(primitive(pivot_row)))
-        col += 1
-    return [tuple(r) for r in basis]
+    rows = [primitive(v) for v in vectors if any(v)]
+    basis: list[tuple[int, ...]] = []
+    for col in range(len(rows[0]) if rows else 0):
+        at = next((i for i, r in enumerate(rows) if r[col] != 0), None)
+        if at is not None:
+            pivot = rows.pop(at)
+            rows = [r for r in (eliminate(r, pivot, col) for r in rows) if any(r)]
+            basis.append(tuple(pivot))
+    return basis
+
+
+def eliminate(target: Sequence[int], prow: Sequence[int], col: int) -> Sequence[int]:
+    """prow[col] * target - target[col] * prow over its gcd, which clears
+    column col: a multiple of the rational row step, positive if the pivot is."""
+    f = target[col]
+    if f == 0:
+        return target
+    p = prow[col]
+    row = [p * a - f * b for a, b in zip(target, prow)]
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def _bareiss(rows: list[list[int]]) -> int:

@@ -17,11 +17,11 @@ before it is returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from .geometry import PointConfig
-from .linalg import Vector
+from .linalg import Vector, eliminate
 
 _ZERO = Fraction(0)
 
@@ -67,8 +67,8 @@ def _solve_feasibility(rows: Sequence[Sequence[int]]) -> list[Fraction] | None:
                 leave_row, best = i, row
         if leave_row < 0:
             raise AssertionError("phase-one objective is bounded by zero")
-        rows = [row if row is best else _eliminate(row, best, col) for row in rows]
-        z = _eliminate(z, best, col)
+        rows = [row if row is best else eliminate(row, best, col) for row in rows]
+        z = eliminate(z, best, col)
         basis[leave_row] = enter
 
     if any(row[0] for row, b in zip(rows, basis) if b >= n):
@@ -78,18 +78,6 @@ def _solve_feasibility(rows: Sequence[Sequence[int]]) -> list[Fraction] | None:
         if b < n:
             x[b] = Fraction(row[0], row[1 + b])
     return x
-
-
-def _eliminate(target: list[int], prow: list[int], col: int) -> list[int]:
-    """prow[col] * target - target[col] * prow over its gcd: since the pivot
-    prow[col] is positive, a positive multiple of the Fraction pivot's row."""
-    f = target[col]
-    if f == 0:
-        return target
-    p = prow[col]
-    row = [p * a - f * b for a, b in zip(target, prow)]
-    g = gcd(*row)
-    return [v // g for v in row] if g > 1 else row
 
 
 def origin_in_hull(cfg: PointConfig) -> ConvexWitness | None:

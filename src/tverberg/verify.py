@@ -103,27 +103,23 @@ class ToleranceReport:
 def _lifted_report(
     cfg: PointConfig,
     p: Partition,
-    colors: Optional[Sequence[int]] = None,
+    classes: Optional[Dict[int, List[int]]] = None,
     at_least: Optional[int] = None,
 ) -> Optional[ToleranceReport]:
     """The lifted route, as tolerance_by_lifted_depth describes it; with
-    ``colors`` (one id per point) the unit is a color class, and the lifted
-    points of a class form one block of a block-depth computation.
+    ``classes`` (color ids to their points) the unit is a color class, and
+    the lifted points of a class form one block of a block-depth computation.
     """
     lifted_cfg = lift_partition(cfg, p)
     origin = (0,) * lifted_cfg.dim
     bound = None if at_least is None else at_least + 1
-    if colors is None:
-        unit_of = range(len(cfg.points))
+    if classes is None:
         cert = depth(lifted_cfg, origin, bound)
+        removal = cert.inside
     else:
-        unit_of = colors
-        blocks = [
-            [j for j, c in enumerate(unit_of) if c == color]
-            for color in sorted(set(colors))
-        ]
+        blocks = [classes[c] for c in sorted(classes)]
         cert = block_depth(lifted_cfg, blocks, origin, bound)
-    removal = sorted({unit_of[j] for j in cert.inside})
+        removal = tuple(sorted({cfg.colors[j] for j in cert.inside}))
     if len(removal) != cert.depth:
         raise AssertionError("lifted witness does not match certified depth")
     if bound is not None and cert.depth < bound:
@@ -137,8 +133,8 @@ def _lifted_report(
     return ToleranceReport(
         tolerance=cert.depth - 1,
         method=LIFTED,
-        unit="points" if colors is None else "classes",
-        witness_removal=tuple(removal),
+        unit="points" if classes is None else "classes",
+        witness_removal=removal,
         common_point=common,
         certificate=cert,
     )
@@ -307,7 +303,7 @@ def colored_tolerance(
         for name, knob in (("t_cap", t_cap), ("budget", budget)):
             if knob is not None:
                 raise ValueError(f"{name} applies to the exhaustive method only")
-        return _lifted_report(cfg, p, cfg.colors, at_least)
+        return _lifted_report(cfg, p, classes, at_least)
     if method != EXHAUSTIVE:
         raise ValueError(f"unknown method {method!r}")
     report, _ = _removal_scan(

@@ -101,6 +101,23 @@ def test_gen_grid_point_count(capsys):
     assert len(record["points"]) == 9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["line", "--n", "5"],
+        ["grid", "--side", "2", "--dim", "2"],
+        ["uniform-ball", "--n", "6", "--seed", "3"],
+        ["colored-classes", "--classes", "3", "--r", "2", "--seed", "1"],
+    ],
+)
+def test_gen_stdout_equals_its_out_file(capsys, tmp_path, argv):
+    code, stdout, _ = run_cli(capsys, "gen", *argv)
+    assert code == 0
+    out = tmp_path / "cfg.json"
+    assert run_cli(capsys, "gen", *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_text() == stdout
+
+
 def test_identical_runs_are_byte_identical(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     code, _, _ = run_cli(
@@ -529,6 +546,21 @@ def test_partition_with_more_parts_than_labels_is_invalid(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", str(cfg), str(part))
     assert code == 2 and out == ""
     assert "r = 1000 exceeds the number of labels" in err
+
+
+def test_verify_reports_rationals_of_any_length(capsys, tmp_path):
+    # Coordinates of 3,000 digits over 3,000 digits load under str()'s
+    # 4,300-digit limit; the lifted witness normal's entries pass it.
+    big = 10**2999 + 7
+    cfg = tmp_path / "big.json"
+    points = [[f"{b * big + i + 1}/{big}"] for i, b in enumerate([0, 2, 4, 1, 3, 5])]
+    cfg.write_text(json.dumps({"dimension": 1, "points": points}))
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"r": 2, "labels": [1, 2, 2, 1, 1, 2]}))
+    lifted = run_json(capsys, "verify", str(cfg), str(part))
+    exhaustive = run_json(capsys, "verify", str(cfg), str(part), "--method", "exhaustive")
+    assert lifted["tolerance"] == exhaustive["tolerance"] == 0
+    assert max(map(len, lifted["witness_halfspace"]["normal"])) > 4300
 
 
 def test_decimal_exponent_coordinate_is_invalid(tmp_path):

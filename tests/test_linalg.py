@@ -69,6 +69,18 @@ def test_scalar_string_round_trip():
     assert scalar_to_str(F(5)) == "5/1"
 
 
+def test_scalar_to_str_writes_any_length():
+    # str() refuses an int past 4,300 digits; these cross that limit and
+    # the 600-digit pieces the writer converts, zeros inside a piece kept.
+    x = F(-(9 * 10**5001 + 7), 10**600)
+    assert scalar_to_str(x) == "-9" + "0" * 5000 + "7/1" + "0" * 600
+    y = F(2 * 10**1200 + 10**600 + 3)
+    assert scalar_to_str(y) == "2" + "0" * 599 + "1" + "0" * 599 + "3/1"
+    # Reading keeps the interpreter's limit: such a coordinate is refused.
+    with pytest.raises(ValueError, match="4300 digits"):
+        scalar_from_str(scalar_to_str(x))
+
+
 def test_clear_denominators_preserves_signs():
     v = (F(1, 2), F(-2, 3), F(0))
     w = clear_denominators(v)
@@ -120,6 +132,27 @@ def test_int_rank():
     assert len(row_basis([(1, 2), (2, 4)])) == 1
     assert len(row_basis([(0, 0)])) == 0
     assert len(row_basis([])) == 0
+
+
+@pytest.mark.parametrize(
+    "vectors, basis",
+    [
+        # Negative pivots: each new row is oriented by the pivot's sign.
+        ([(-3, 6, 9), (2, -1, 4), (-5, 0, 1)], [(-1, 2, 3), (0, -3, -10), (0, 0, 1)]),
+        # Non-primitive rows are divided by their gcd.
+        (
+            [(4, 6, 8, 10), (6, 9, 12, 16), (0, 10, 15, -5)],
+            [(2, 3, 4, 5), (0, 2, 3, -1), (0, 0, 0, 1)],
+        ),
+        # Repeated and zero rows add nothing.
+        ([(1, -2, 3), (1, -2, 3), (-2, 4, -6), (0, 0, 0), (0, 5, -5)], [(1, -2, 3), (0, 1, -1)]),
+        # The first pivot comes from the last row.
+        ([(0, -4, 2), (0, 6, -3), (0, 2, 8), (-6, 0, 0)], [(-1, 0, 0), (0, -2, 1), (0, 0, -1)]),
+        ([(-2, -4), (-6, -12), (0, -7), (3, 5)], [(-1, -2), (0, -1)]),
+    ],
+)
+def test_row_basis_rows_are_pinned(vectors, basis):
+    assert row_basis(vectors) == basis
 
 
 def test_row_basis_spans_same_space():

@@ -11,7 +11,7 @@ from tverberg.engine import random_partition
 from tverberg.gen import uniform_ball
 from tverberg.geometry import PointConfig, make_config
 from tverberg.lift import lift_partition
-from tverberg.linalg import clear_denominators, solve_linear
+from tverberg.linalg import clear_denominators, eliminate, solve_linear
 from tverberg.lp import _solve_feasibility, hulls_intersect, origin_in_hull
 from tverberg.partition import Partition
 
@@ -331,8 +331,7 @@ def test_an_artificial_that_leaves_never_returns(system, monkeypatch):
     # right-hand side 0, leaves on the first pivot; the reference's rule lets
     # it back in on a third pivot.
     calls = []
-    eliminate = lp._eliminate
-    monkeypatch.setattr(lp, "_eliminate", lambda *a: calls.append(a) or eliminate(*a))
+    monkeypatch.setattr(lp, "eliminate", lambda *a: calls.append(a) or eliminate(*a))
     columns, rhs = system
     _solve_feasibility(_integer_rows(columns, rhs))
     # A pivot eliminates the other m - 1 rows and the objective row.

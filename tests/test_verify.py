@@ -589,11 +589,12 @@ def test_lifted_removal_is_the_witness_side_of_the_lift(data):
     points = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
     labels = data.draw(st.permutations([i % r + 1 for i in range(n)]))
     colors = data.draw(
-        st.none() | st.lists(st.integers(1, 3), min_size=n, max_size=n)
+        st.none() | st.lists(st.integers(1, 3), min_size=n, max_size=n).map(tuple)
     )
-    cfg = PointConfig(dim=dim, points=tuple(points))
+    cfg = PointConfig(dim=dim, points=tuple(points), colors=colors)
     p = Partition(r=r, labels=tuple(labels))
-    report = verify._lifted_report(cfg, p, colors)
+    classes = None if colors is None else cfg.color_classes()
+    report = verify._lifted_report(cfg, p, classes)
     unit_of = range(n) if colors is None else colors
     witness = report.certificate.witness
     lifted = lift_partition(cfg, p)
