@@ -10,6 +10,7 @@ from .bounds import (
     carath_depth_bound,
     carath_guaranteed_depth,
     colored_tolerance_from_n,
+    derangements,
     fixed_point_probability,
     n_for_probability,
     n_for_tolerance,
@@ -39,7 +40,6 @@ from .geometry import (
 from .lift import lift_partition, recover_common_point
 from .lp import hulls_intersect, origin_in_hull
 from .partition import Partition
-from .perms import derangements, forbidden_avoidance_count
 from .verify import (
     BudgetExceeded,
     ReayReport,
@@ -76,7 +76,6 @@ __all__ = [
     "depth_oracle",
     "derangements",
     "fixed_point_probability",
-    "forbidden_avoidance_count",
     "grid_points",
     "hulls_intersect",
     "lift_partition",

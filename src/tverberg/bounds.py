@@ -1,6 +1,6 @@
 """Closed-form tolerance guarantees for random partitions.
 
-Every function here evaluates a deterministic formula in double
+Every guarantee here evaluates a deterministic formula in double
 precision (the inputs are small integers, so the only rounding is in
 sqrt/log); nothing samples randomness.  A guarantee of -1 means the
 formula certifies nothing at the given size.
@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Callable
-
-from .perms import derangements
 
 
 def _check_ndr(n: int, d: int, r: int) -> None:
@@ -84,6 +82,23 @@ def n_for_probability(t: int, d: int, r: int, eps: float) -> int:
     return _least_n(
         max(r * (t + 1), 1), lambda n: n / r - eps_slack(n, d, r, eps) >= t + 1
     )
+
+
+def derangements(r: int) -> int:
+    """Number of permutations of r items with no fixed point.
+
+    D_0 = 1, D_1 = 0, and D_r = (r-1)(D_(r-1) + D_(r-2)).
+    """
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    if r == 0:
+        return 1
+    prev2, prev1 = 1, 0  # D_0, D_1
+    if r == 1:
+        return 0
+    for i in range(2, r + 1):
+        prev2, prev1 = prev1, (i - 1) * (prev1 + prev2)
+    return prev1
 
 
 def fixed_point_probability(r: int) -> Fraction:

@@ -34,7 +34,7 @@ class PointConfig:
             if len(p) != self.dim:
                 raise ValueError(
                     f"point {reprlib.repr(p)} has {len(p)} coordinates, "
-                    f"expected {self.dim}"
+                    f"expected {reprlib.repr(self.dim)}"
                 )
         if self.colors is not None and len(self.colors) != len(self.points):
             raise ValueError("colors must align one-to-one with points")
@@ -125,8 +125,9 @@ def load_config(path: str | Path) -> PointConfig:
 
 def load_json(path: str | Path) -> object:
     """Parse a JSON file; nesting too deep for the parser is a ValueError."""
-    try:
-        return json.loads(Path(path).read_text())
+    try:  # integers are read as scalars, so the digit limit is worded once
+        text = Path(path).read_text()
+        return json.loads(text, parse_int=lambda s: scalar_from_str(s).numerator)
     except RecursionError as exc:
         raise ValueError(f"{path}: JSON nested too deeply to read") from exc
 
@@ -160,7 +161,7 @@ def load_csv(path: str | Path) -> PointConfig:
     others_not_all_int = any(not all(is_bare_int(c) for c in r[:-1]) for r in rows)
     if last_all_int and others_not_all_int:
         points = [[scalar_from_str(c) for c in r[:-1]] for r in rows]
-        colors = [int(r[-1]) for r in rows]
+        colors = [scalar_from_str(r[-1]).numerator for r in rows]
         return make_config(points, colors)
     points = [[scalar_from_str(c) for c in r] for r in rows]
     return make_config(points)

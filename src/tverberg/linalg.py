@@ -1,27 +1,26 @@
-"""Exact rational scalars, vectors, and small dense matrices.
+"""Exact rational scalars and vectors, and small integer matrices.
 
 Scalars are ``fractions.Fraction`` values, which the standard library keeps
 in lowest terms with a positive denominator, so equality and hashing behave
-canonically.  Vectors and matrices are plain tuples of Fractions; helpers
-below validate shapes on construction.
+canonically.  Vectors are plain tuples of Fractions; matrices are
+sequences of integer rows, their denominators cleared.
 
-Linear solves clear denominators first and then run fraction-free
-(Bareiss) elimination over the integers, which bounds the intermediate
-entry growth without per-step gcd normalization; integer determinants, and
-through them kernel vectors, run the same elimination loop.  Row bases and
-the hull LP's simplex share ``eliminate``, the gcd-reduced row step.  No
-floating point is used anywhere in this module.
+Integer determinants, and through them kernel vectors, run fraction-free
+(Bareiss) elimination, which bounds the intermediate entry growth without
+per-step gcd normalization.  Row bases and the hull LP's simplex share
+``eliminate``, the gcd-reduced row step.  No floating point is used
+anywhere in this module.
 """
 
 from __future__ import annotations
 
 import reprlib
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
-Matrix = tuple[Vector, ...]
 
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
@@ -74,6 +73,9 @@ def scalar_from_str(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {reprlib.repr(text)}") from None
     except ValueError as exc:  # Fraction's message repeats the whole literal
         s = text.strip()
+        if str(exc).startswith("Exceeds the limit"):  # int()'s digit limit, reworded
+            limit = sys.get_int_max_str_digits()
+            exc = ValueError(f"an integer in {s!r} exceeds the {limit}-digit limit")
         raise ValueError(str(exc).replace(repr(s), reprlib.repr(s))) from None
 
 
@@ -122,30 +124,6 @@ def primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
-def solve_linear(mat: Matrix, rhs: Vector) -> Vector | None:
-    """Solve ``mat @ x == rhs`` exactly; None when the matrix is singular."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("solve_linear requires a square matrix")
-    if len(rhs) != n:
-        raise ValueError("right-hand side length must match the matrix")
-
-    rows = [list(clear_denominators(tuple(row) + (b,))) for row, b in zip(mat, rhs)]
-    if not _bareiss(rows):
-        return None
-
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(rows[i][n])
-        for j in range(i + 1, n):
-            acc -= rows[i][j] * x[j]
-        x[i] = acc / rows[i][i]
-    solution = tuple(x)
-    if any(dot(row, solution) != b for row, b in zip(mat, rhs)):
-        raise AssertionError("exact solver produced a non-solution")
-    return solution
-
-
 def row_basis(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Integer row-echelon basis of the span of the given integer vectors."""
     rows = [primitive(v) for v in vectors if any(v)]
@@ -171,11 +149,10 @@ def eliminate(target: Sequence[int], prow: Sequence[int], col: int) -> Sequence[
     return [v // g for v in row] if g > 1 else row
 
 
-def _bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) forward elimination, in place, of the n x n
-    leading block of n integer rows, carrying any further columns along.
-    Returns the block's determinant, or 0 as soon as a column has no pivot;
-    every division is exact."""
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination: every division is exact, and no Fractions."""
+    rows = [list(r) for r in rows]
     n = len(rows)
     sign = prev = 1
     for k in range(n):
@@ -189,16 +166,10 @@ def _bareiss(rows: list[list[int]]) -> int:
         pivot = rk[k]
         for ri in rows[k + 1 :]:
             lead = ri[k]
-            for j in range(k + 1, len(ri)):
+            for j in range(k + 1, n):
                 ri[j] = (ri[j] * pivot - lead * rk[j]) // prev
-            ri[k] = 0
         prev = pivot
     return sign * prev
-
-
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss, no Fractions)."""
-    return _bareiss([list(r) for r in rows])
 
 
 def kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:

@@ -58,7 +58,8 @@ class Partition:
         if r > len(raw_labels):
             # r parts lift to r - 1 companion vectors of length r - 1.
             raise ValueError(
-                f"malformed partition JSON: r = {r} exceeds the number of labels"
+                f"malformed partition JSON: r = {reprlib.repr(r)} exceeds the number "
+                "of labels"
             )
         labels = tuple(
             int_from_json(x, "malformed partition JSON: a label") for x in raw_labels

@@ -162,23 +162,17 @@ def _removal_scan(
     ordered = sorted(units)
     bits = [1 << b for b in range(len(ordered))]
     bit_of = {i: bits[b] for b, u in enumerate(ordered) for i in units[u]}
-    # Removing every unit that meets a part empties it, so the scan
-    # breaks by the smallest such count; a part holding a point in no
-    # unit (depth_oracle's query point) is never emptied.
-    emptiable = [part for part in parts if all(i in bit_of for i in part)]
-    cap = min(len({bit_of[i] for i in part}) for part in emptiable) - 1
-    if t_cap is not None:
-        if t_cap < 0:
-            raise ValueError("t_cap must be nonnegative")
-        cap = min(cap, t_cap)
+    if t_cap is not None and t_cap < 0:
+        raise ValueError("t_cap must be nonnegative")
 
     # A removal that misses the support of a witness already found leaves
     # that witness a common point, so it is skipped without an LP.
     supports: List[int] = []
 
     common: Optional[Vector] = None
-    tolerance, witness = cap, None
-    for s in range(cap + 2):
+    # The scan stops at its first breaking size; removing every unit empties a part.
+    tolerance, witness = t_cap, None
+    for s in range(len(units) + 1 if t_cap is None else t_cap + 2):
         level = comb(len(units), s)
         if spent + level > budget:
             raise BudgetExceeded(
@@ -206,8 +200,8 @@ def _removal_scan(
         tolerance, witness = s - 1, removal
         break
     else:
-        if t_cap is None or cap != t_cap:
-            raise AssertionError("scan emptied a part without breaking")
+        if t_cap is None:
+            raise AssertionError("scan removed every unit without breaking")
     report = ToleranceReport(
         tolerance=tolerance,
         method=EXHAUSTIVE,

@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the package's simplex and
 candidate-direction machinery so that agreement is meaningful:
-hull membership goes through Caratheodory subsets and a dense exact
-solve, one-dimensional depth through direct counting.
+hull membership goes through Caratheodory subsets and Cramer's rule over
+integer determinants, one-dimensional depth through direct counting.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 from hypothesis import settings
 
 from tverberg.geometry import PointConfig
-from tverberg.linalg import solve_linear
+from tverberg.linalg import clear_denominators, int_det
 from tverberg.rng import SplitMix64
 
 Vec = Tuple[Fraction, ...]
@@ -25,6 +25,22 @@ Vec = Tuple[Fraction, ...]
 # deterministically and prints the blob that reproduces a failure.
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def solve_by_cramer(
+    mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> Optional[Vec]:
+    """The x with mat @ x == rhs for a square rational system, by Cramer's
+    rule over int_det; None when the matrix is singular.  Each row is
+    cleared of denominators, with its right-hand side, first."""
+    rows = [clear_denominators([*row, b]) for row, b in zip(mat, rhs)]
+    det = int_det([row[:-1] for row in rows])
+    if det == 0:
+        return None
+    return tuple(
+        Fraction(int_det([row[:j] + row[-1:] + row[j + 1 : -1] for row in rows]), det)
+        for j in range(len(rows))
+    )
 
 
 def brute_origin_in_hull(points: Sequence[Vec]) -> bool:
@@ -46,7 +62,7 @@ def brute_origin_in_hull(points: Sequence[Vec]) -> bool:
                 for i in range(k)
             ]
             rhs = [sum(a * b for a, b in zip(cols[i], target)) for i in range(k)]
-            lam = solve_linear(gram, rhs)
+            lam = solve_by_cramer(gram, rhs)
             if lam is None:
                 continue
             if any(l < 0 for l in lam):

@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement, permutations
 from tverberg.bounds import (
     carath_guaranteed_depth,
     colored_tolerance_from_n,
+    derangements,
     fixed_point_probability,
     n_for_probability,
     reay_tolerance_from_m,
@@ -28,7 +29,6 @@ from tverberg.lift import lift_partition
 from tverberg.linalg import dot
 from tverberg.lp import hulls_intersect
 from tverberg.partition import Partition
-from tverberg.perms import derangements, forbidden_avoidance_count
 from tverberg.rng import SplitMix64, substream_seed
 from tverberg.verify import (
     colored_tolerance,
@@ -180,7 +180,12 @@ def test_criterion_6_derangement_suite():
     )
     limit_gap = abs(float(fixed_point_probability(10)) - (1 - 1 / math.e))
     maximization_ok = all(
-        forbidden_avoidance_count(values) <= derangements(r)
+        sum(
+            1
+            for perm in permutations(range(1, r + 1))
+            if all(s != v for s, v in zip(perm, values))
+        )
+        <= derangements(r)
         for r in range(1, 7)
         for values in combinations_with_replacement(range(1, r + 1), r)
     )

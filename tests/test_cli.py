@@ -661,6 +661,7 @@ def test_every_generator_refuses_past_the_point_cap(capsys, argv, message):
 
 
 _LINE5 = {"dimension": 1, "points": [["1"], ["2"], ["3"], ["4"], ["5"]]}
+_LIMIT = "exceeds the 4300-digit limit"
 
 
 @pytest.mark.parametrize(
@@ -679,18 +680,36 @@ _LINE5 = {"dimension": 1, "points": [["1"], ["2"], ["3"], ["4"], ["5"]]}
             "blocks", {"dimension": 1, "points": [[str(i)] for i in range(20_000)]}, None,
             "blocks do not cover point indices [1, 2, 3, 4, 5, 6, ...]",
         ),
+        # Integers past str()'s 4,300-digit limit, and long integers echoed.
+        ("depth", {"dimension": 1, "points": [["1" * 4401 + "/3"]]}, None, _LIMIT),
+        ("depth", ("cfg.csv", "1" * 4401 + "/3\n1\n"), None, _LIMIT),
+        ("depth", ("cfg.csv", "1/2," + "1" * 4401 + "\n1/3,1\n"), None, _LIMIT),
+        (
+            "depth", ("cfg.json", '{"dimension": ' + "1" * 4400 + ', "points": [["1"]]}'),
+            None, _LIMIT,
+        ),
+        ("depth", {"dimension": int("1" * 4000), "points": [["1"]]}, None, "expected 111"),
+        (
+            "verify", _LINE5, {"r": int("1" * 4000), "labels": [1, 2, 1, 2, 1]},
+            "exceeds the number of labels",
+        ),
     ],
     ids=[
         "long-point", "long-coordinate", "long-exponent", "list-coordinate",
         "long-label", "many-bad-labels", "many-uncovered-indices",
+        "json-numerator-past-limit", "csv-numerator-past-limit", "csv-color-past-limit",
+        "json-dimension-past-limit", "long-dimension", "long-r",
     ],
 )
 def test_malformed_input_is_echoed_in_short(
     capsys, tmp_path, command, config, partition, message
 ):
-    # Each message once repeated its whole input, megabytes of stderr.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    # Each message once repeated its whole input, megabytes of stderr, or
+    # advised a call to sys.set_int_max_str_digits().  A config is a JSON
+    # object, or a file name and its text.
+    name, text = config if isinstance(config, tuple) else ("cfg.json", json.dumps(config))
+    cfg = tmp_path / name
+    cfg.write_text(text)
     if command == "verify":
         part = tmp_path / "p.json"
         part.write_text(json.dumps(partition))
@@ -700,6 +719,7 @@ def test_malformed_input_is_echoed_in_short(
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err and len(err.encode()) <= 300
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize(

@@ -11,11 +11,16 @@ from tverberg.engine import random_partition
 from tverberg.gen import uniform_ball
 from tverberg.geometry import PointConfig, make_config
 from tverberg.lift import lift_partition
-from tverberg.linalg import clear_denominators, eliminate, solve_linear
+from tverberg.linalg import clear_denominators, eliminate
 from tverberg.lp import _solve_feasibility, hulls_intersect, origin_in_hull
 from tverberg.partition import Partition
 
-from conftest import brute_origin_in_hull, point_in_hull, random_int_config
+from conftest import (
+    brute_origin_in_hull,
+    point_in_hull,
+    random_int_config,
+    solve_by_cramer,
+)
 
 F = Fraction
 
@@ -349,7 +354,7 @@ def _basic_solution_exists(columns, rhs):
     for k in range(1, min(len(rhs), len(columns)) + 1):
         for subset in combinations(columns, k):
             gram = [[sum(map(mul, u, v)) for v in subset] for u in subset]
-            lam = solve_linear(gram, [sum(map(mul, u, rhs)) for u in subset])
+            lam = solve_by_cramer(gram, [sum(map(mul, u, rhs)) for u in subset])
             if lam is None or any(w < 0 for w in lam):
                 continue
             if all(sum(map(mul, lam, row)) == b for row, b in zip(zip(*subset), rhs)):

@@ -135,6 +135,8 @@ def test_exhaustive_cap_reports_no_witness():
     assert capped.witness_removal is None
     full = tolerance_exhaustive(cfg, p)
     assert full.tolerance >= capped.tolerance
+    # A cap at the tolerance still scans the breaking size: the full report.
+    assert tolerance_exhaustive(cfg, p, t_cap=full.tolerance) == full
 
 
 def test_exhaustive_budget_enforced():
