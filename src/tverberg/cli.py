@@ -49,7 +49,7 @@ from .engine import (
     unreachable,
 )
 from .geometry import config_to_json, load_config, load_json
-from .linalg import as_vector, int_from_json
+from .linalg import as_vector, int_from_json, int_from_str
 from .partition import Partition
 from .plot import render_svg
 from .verify import (
@@ -189,30 +189,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_partition(args: argparse.Namespace) -> int:
     _require(args.k is None or args.mode == "reay", "--k applies to reay mode only")
     cfg = load_config(args.input)
+    r = cfg.class_size() if args.mode == "colored" else args.r
+    _require(r is not None, f"{args.mode} mode needs --r")
+    _require(args.r in (None, r), f"--r does not match the class size {r}")
     if args.mode == "plain":
-        _require(args.r is not None, "plain mode needs --r")
-        found = certified_partition(cfg, args.r, args.t, args.seed, args.max_trials)
+        found = certified_partition(cfg, r, args.t, args.seed, args.max_trials)
     elif args.mode == "colored":
-        _require(cfg.colors is not None, "colored mode needs a colored input")
-        if args.r is not None:
-            sizes = {len(v) for v in cfg.color_classes().values()}
-            _require(
-                sizes == {args.r},
-                f"--r {args.r} does not match the class sizes {sorted(sizes)}",
-            )
         found = certified_colored_partition(cfg, args.t, args.seed, args.max_trials)
     else:  # reay
-        _require(args.r is not None, "reay mode needs --r")
         _require(args.k is not None, "reay mode needs --k")
         found = certified_reay_partition(
-            cfg, args.r, args.k, args.t, args.seed, args.max_trials
+            cfg, r, args.k, args.t, args.seed, args.max_trials
         )
 
     if found is None:
-        reason = unreachable(cfg, args.t, None if args.mode == "colored" else args.r)
-        sys.stderr.write(
-            (reason or f"no certified partition within {args.max_trials} trials") + "\n"
-        )
+        absent = f"no certified partition within {args.max_trials} trials"
+        sys.stderr.write((unreachable(cfg, args.t, r) or absent) + "\n")
         return EXIT_ABSENT
 
     p, report = found
@@ -266,7 +258,7 @@ def cmd_depth(args: argparse.Namespace) -> int:
         cert = depth(cfg, center)
     else:
         blocks = [
-            [int(x) for x in chunk.split(",") if x.strip() != ""]
+            [int_from_str(x) for x in chunk.split(",") if x.strip() != ""]
             for chunk in args.blocks.split(";")
         ]
         cert = block_depth(cfg, blocks, center)
@@ -308,6 +300,14 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _int(text: str) -> int:
+    """The type of every integer option: what int() accepts, refused in short."""
+    try:
+        return int_from_str(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one argument parser; built on first use and shared, since parsing
@@ -322,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "formula", choices=["plain", "colored", "reay", "epsilon", "carath"]
     )
-    b.add_argument("--n", type=int, help="points (classes for colored)")
-    b.add_argument("--d", type=int, required=True, help="dimension")
-    b.add_argument("--r", type=int, required=True, help="number of parts")
-    b.add_argument("--k", type=int, help="tuple size (reay)")
-    b.add_argument("--t", type=int, help="target tolerance (epsilon)")
+    b.add_argument("--n", type=_int, help="points (classes for colored)")
+    b.add_argument("--d", type=_int, required=True, help="dimension")
+    b.add_argument("--r", type=_int, required=True, help="number of parts")
+    b.add_argument("--k", type=_int, help="tuple size (reay)")
+    b.add_argument("--t", type=_int, help="target tolerance (epsilon)")
     b.add_argument("--eps", type=float, help="failure probability (epsilon)")
     b.set_defaults(func=cmd_bound)
 
@@ -334,24 +334,24 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument(
         "kind", choices=["uniform-ball", "grid", "line", "colored-classes"]
     )
-    g.add_argument("--n", type=int, help="point count")
-    g.add_argument("--dim", type=int, default=2)
-    g.add_argument("--radius", type=int, default=1000)
-    g.add_argument("--side", type=int, help="grid side length")
-    g.add_argument("--classes", type=int, help="number of color classes")
-    g.add_argument("--r", type=int, help="points per class")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--n", type=_int, help="point count")
+    g.add_argument("--dim", type=_int, default=2)
+    g.add_argument("--radius", type=_int, default=1000)
+    g.add_argument("--side", type=_int, help="grid side length")
+    g.add_argument("--classes", type=_int, help="number of color classes")
+    g.add_argument("--r", type=_int, help="points per class")
+    g.add_argument("--seed", type=_int, default=0)
     g.add_argument("--out", help="output file (default: stdout)")
     g.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("partition", help="search for a certified partition")
     p.add_argument("input", help="configuration file (.json or .csv)")
     p.add_argument("--mode", choices=["plain", "colored", "reay"], default="plain")
-    p.add_argument("--r", type=int, help="number of parts")
-    p.add_argument("--k", type=int, help="tuple size (reay mode)")
-    p.add_argument("--t", type=int, required=True, help="target tolerance")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--r", type=_int, help="number of parts")
+    p.add_argument("--k", type=_int, help="tuple size (reay mode)")
+    p.add_argument("--t", type=_int, required=True, help="target tolerance")
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--max-trials", type=_int, default=DEFAULT_TRIALS)
     p.add_argument("--out-partition", help="write the partition JSON here")
     p.add_argument("--out-report", help="write the report JSON here")
     p.set_defaults(func=cmd_partition)
@@ -361,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("partition", help="partition JSON file")
     v.add_argument("--mode", choices=["plain", "colored", "reay"], default="plain")
     v.add_argument("--method", choices=["lifted", "exhaustive"], default="lifted")
-    v.add_argument("--k", type=int, help="tuple size (reay mode)")
-    v.add_argument("--t-cap", type=int, help="cap the exhaustive scan")
+    v.add_argument("--k", type=_int, help="tuple size (reay mode)")
+    v.add_argument("--t-cap", type=_int, help="cap the exhaustive scan")
     v.add_argument(
         "--budget",
-        type=int,
+        type=_int,
         help=f"removal sets an exhaustive scan may walk (default {DEFAULT_BUDGET})",
     )
     v.set_defaults(func=cmd_verify)

@@ -6,14 +6,16 @@ handful of seeded trials suffices.  Trial i always draws from the
 substream (seed, i); reruns with the same seed reproduce the exact
 same partitions and certificates.
 
-``unreachable`` owns the ceilings no partition can beat; the searches
-return None for those targets without sampling.  A trial asks its verify
-function only whether it reaches the target (``at_least``), so a failing
+The plain, k-of-r and rainbow searches differ only in their draw and
+certify; ``_first_certified`` returns None without sampling for the
+targets ``unreachable`` rules out, one pigeonhole rule for all three.  A
+trial asks only whether it reaches the target (``at_least``), so a failing
 trial's depth search stops at the first half-space that refutes it.
 """
 
 from __future__ import annotations
 
+import reprlib
 from typing import Callable, Optional, Tuple, TypeVar
 
 from .depth import depth
@@ -51,28 +53,18 @@ def random_block_choice(r: int, seed: int) -> Tuple[int, ...]:
     return tuple(SplitMix64(seed).permutation(r))
 
 
-def unreachable(
-    cfg: PointConfig, t_target: int, r: Optional[int] = None
-) -> Optional[str]:
-    """Why no partition of cfg into r parts (a rainbow one of its color
-    classes when r is None) can reach tolerance t_target, or None.
+def unreachable(cfg: PointConfig, t_target: int, r: int) -> Optional[str]:
+    """Why no partition of cfg into r parts can reach tolerance t_target, or None.
 
-    When n <= r * t_target some part has at most t_target points under
-    every labeling, and removing them empties it.  A rainbow partition has
-    n = r * classes, so there this reads t_target > classes - 1.
+    Under every labeling some part has at most floor(n / r) points, and
+    removing them empties it: refused exactly when n < r * (t_target + 1).
+    For a rainbow partition r is the class size, floor(n / r) the class count.
     """
-    if r is None:
-        classes = len(cfg.color_classes())
-        if t_target > classes - 1:
-            return (
-                f"unachievable: tolerance {t_target} would survive removing all "
-                f"{classes} classes"
-            )
-    elif len(cfg.points) <= r * t_target:
+    n = len(cfg.points)
+    if n < r * (t_target + 1):
         return (
-            f"unachievable by pigeonhole: {len(cfg.points)} points in {r} parts "
-            f"leave some part with at most {t_target} points, and removing that "
-            f"part empties it"
+            f"unachievable by pigeonhole: {n} points in {reprlib.repr(r)} parts leave "
+            f"some part with at most {n // r} points, and removing that part empties it"
         )
     return None
 
@@ -86,12 +78,9 @@ def certified_partition(
 ) -> Optional[Tuple[Partition, ToleranceReport]]:
     """First random partition (over max_trials seeded trials) whose
     certified tolerance reaches t_target, or None."""
-    _check_search(r, t_target, max_trials)
-    if unreachable(cfg, t_target, r) is not None:
-        return None
     draw = lambda s: random_partition(len(cfg.points), r, s)
     certify = lambda p: tolerance_by_lifted_depth(cfg, p, at_least=t_target)
-    return _first_certified(draw, certify, seed, max_trials)
+    return _first_certified(cfg, r, t_target, draw, certify, seed, max_trials)
 
 
 def certified_colored_partition(
@@ -106,31 +95,20 @@ def certified_colored_partition(
     Every color class must have the same size r >= 2; each trial sends
     each class onto the r parts by an independent uniform permutation.
     """
-    classes = cfg.color_classes()
-    sizes = {len(members) for members in classes.values()}
-    if len(sizes) != 1:
-        raise ValueError("color classes must all have the same size")
-    r = sizes.pop()
-    if r < 2:
-        raise ValueError("color classes need at least two points each")
-    _check_search(r, t_target, max_trials)
-    if unreachable(cfg, t_target) is not None:
-        return None
-
-    n = len(cfg.points)
-    colors = sorted(classes)
+    r = cfg.class_size()
+    classes = sorted(cfg.color_classes().items())
 
     def draw(trial_seed: int) -> Partition:
         rng = SplitMix64(trial_seed)
-        labels = [0] * n
-        for color in colors:
+        labels = [0] * len(cfg.points)
+        for _, members in classes:
             perm = rng.permutation(r)
-            for pos, idx in enumerate(classes[color]):
+            for pos, idx in enumerate(members):
                 labels[idx] = perm[pos]
         return Partition(r, tuple(labels))
 
     certify = lambda p: colored_tolerance(cfg, p, at_least=t_target)
-    return _first_certified(draw, certify, seed, max_trials)
+    return _first_certified(cfg, r, t_target, draw, certify, seed, max_trials)
 
 
 def certified_reay_partition(
@@ -143,14 +121,11 @@ def certified_reay_partition(
 ) -> Optional[Tuple[Partition, ReayReport]]:
     """Random partitions until every k of the r hulls tolerates t_target
     removals, or None."""
-    _check_search(r, t_target, max_trials)
     if not 2 <= k <= r:
         raise ValueError("k must lie in 2..r")
-    if unreachable(cfg, t_target, r) is not None:
-        return None
     draw = lambda s: random_partition(len(cfg.points), r, s)
     certify = lambda p: reay_tolerance(cfg, p, k, at_least=t_target)
-    return _first_certified(draw, certify, seed, max_trials)
+    return _first_certified(cfg, r, t_target, draw, certify, seed, max_trials)
 
 
 def sign_assignment(
@@ -191,6 +166,9 @@ def sign_assignment(
 
 
 def _first_certified(
+    cfg: PointConfig,
+    r: int,
+    t_target: int,
     draw: Callable[[int], Partition],
     certify: Callable[[Partition], Optional[Report]],
     seed: int,
@@ -198,6 +176,9 @@ def _first_certified(
 ) -> Optional[Tuple[Partition, Report]]:
     """The first trial partition, drawn from substream (seed, i), that
     ``certify`` does not refute (None), with its report; or None."""
+    _check_search(r, t_target, max_trials)
+    if unreachable(cfg, t_target, r) is not None:
+        return None
     for i in range(max_trials):
         p = draw(substream_seed(seed, i))
         report = certify(p)

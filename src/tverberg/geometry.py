@@ -48,6 +48,13 @@ class PointConfig:
             classes.setdefault(c, []).append(i)
         return classes
 
+    def class_size(self) -> int:
+        """The size every color class shares; ValueError when sizes differ."""
+        sizes = {len(members) for members in self.color_classes().values()}
+        if len(sizes) != 1:
+            raise ValueError("color classes must all have the same size")
+        return sizes.pop()
+
 
 @dataclass(frozen=True)
 class HalfSpace:

@@ -18,7 +18,7 @@ import reprlib
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -68,12 +68,23 @@ def scalar_from_str(text: str) -> Fraction:
     if "e" in text or "E" in text:
         raise ValueError(f"decimal exponents are not accepted: {reprlib.repr(text)}")
     try:
-        return Fraction(text.strip())
+        return _parse(Fraction, text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {reprlib.repr(text)}") from None
-    except ValueError as exc:  # Fraction's message repeats the whole literal
-        s = text.strip()
-        if str(exc).startswith("Exceeds the limit"):  # int()'s digit limit, reworded
+
+
+def int_from_str(text: str) -> int:
+    """int(text), refused in short as scalar_from_str refuses."""
+    return _parse(int, text)
+
+
+def _parse(parse: Callable[[str], Any], s: str) -> Any:
+    """parse(s); its ValueError quotes s through reprlib (the parsers' own
+    messages repeat the whole literal) and words int()'s digit limit."""
+    try:
+        return parse(s)
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):
             limit = sys.get_int_max_str_digits()
             exc = ValueError(f"an integer in {s!r} exceeds the {limit}-digit limit")
         raise ValueError(str(exc).replace(repr(s), reprlib.repr(s))) from None

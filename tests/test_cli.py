@@ -160,13 +160,17 @@ def test_partition_verify_round_trip(capsys, tmp_path):
 
 
 def test_partition_pigeonhole_refusal_exit_code(capsys, tmp_path):
-    cfg = tmp_path / "six.json"
-    assert run_cli(capsys, "gen", "line", "--n", "6", "--out", str(cfg))[0] == 0
-    code, _, err = run_cli(
-        capsys, "partition", str(cfg), "--r", "2", "--t", "3", "--seed", "0"
-    )
-    assert code == 4
-    assert "pigeonhole" in err
+    # n < r * (t + 1), so some part has at most t points; with r > n, some
+    # part is empty.  Each is refused before any trial is drawn, and a long
+    # r is quoted in short.
+    for n, r, t in [(6, 2, 3), (13, 2, 6), (12, 13, 0), (12, int("1" * 4000), 0)]:
+        cfg = tmp_path / f"line{n}.json"
+        assert run_cli(capsys, "gen", "line", "--n", str(n), "--out", str(cfg))[0] == 0
+        code, out, err = run_cli(
+            capsys, "partition", str(cfg), "--r", str(r), "--t", str(t), "--seed", "0"
+        )
+        assert (code, out) == (4, ""), (n, t)
+        assert "pigeonhole" in err and len(err) <= 300
 
 
 def test_partition_colored_class_count_refusal_exit_code(capsys, tmp_path):
@@ -182,7 +186,10 @@ def test_partition_colored_class_count_refusal_exit_code(capsys, tmp_path):
         capsys, "partition", str(cfg), "--mode", "colored", "--t", "3"
     )
     assert (code, out) == (4, "")
-    assert err == "unachievable: tolerance 3 would survive removing all 3 classes\n"
+    assert err == (
+        "unachievable by pigeonhole: 6 points in 2 parts leave some part with at "
+        "most 3 points, and removing that part empties it\n"
+    )
 
 
 def test_partition_colored_r_must_match_the_class_size(capsys, tmp_path):
@@ -197,7 +204,7 @@ def test_partition_colored_r_must_match_the_class_size(capsys, tmp_path):
         capsys, "partition", str(cfg), "--mode", "colored", "--r", "3", "--t", "1"
     )
     assert (code, out) == (2, "")
-    assert err == "error: --r 3 does not match the class sizes [2]\n"
+    assert err == "error: --r does not match the class size 2\n"
 
 
 def test_reay_partition_and_both_verify_methods_agree(capsys, tmp_path):
@@ -719,6 +726,29 @@ def test_malformed_input_is_echoed_in_short(
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err and len(err.encode()) <= 300
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "plain", "--n", "1" * 5000, "--d", "2", "--r", "2"],
+        ["depth", "{cfg}", "--blocks", "0,1;" + "1" * 5000],
+    ],
+    ids=["option", "blocks-index"],
+)
+def test_long_integer_arguments_are_refused_in_short(capsys, tmp_path, argv):
+    # An integer option or a --blocks index past int()'s 4,300-digit limit
+    # is refused in the program's own words, its value quoted in short.
+    cfg = tmp_path / "line.json"
+    cfg.write_text(json.dumps(_LINE5))
+    try:
+        code = main([a.replace("{cfg}", str(cfg)) for a in argv])
+    except SystemExit as exc:  # argparse refuses a bad option value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert _LIMIT in err and len(err.encode()) <= 300
     assert "set_int_max_str_digits" not in err
 
 

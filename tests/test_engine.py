@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from tverberg import engine
 from tverberg.bounds import sign_tolerance_from_n
 from tverberg.depth import depth
 from tverberg.engine import (
@@ -15,6 +16,7 @@ from tverberg.engine import (
     random_block_choice,
     random_partition,
     sign_assignment,
+    unreachable,
 )
 from tverberg.gen import colored_classes, line_points, uniform_ball
 from tverberg.geometry import PointConfig
@@ -26,6 +28,8 @@ from tverberg.verify import (
     tolerance_by_lifted_depth,
     tolerance_exhaustive,
 )
+
+from conftest import labelings_up_to_relabelling
 
 F = Fraction
 
@@ -88,11 +92,50 @@ def test_certified_partition_matches_exhaustive_oracle():
     assert tolerance_exhaustive(cfg, p).tolerance == report.tolerance
 
 
-def test_certified_partition_pigeonhole_refusal():
-    # n <= r * t means some part is small enough to wipe out; no search.
+def test_certified_partition_pigeonhole_refusal(monkeypatch):
+    # n < r * (t + 1) leaves some part with at most t points to wipe out, so
+    # the search returns None without certifying a trial.
+    def certify(*args, **kwargs):
+        raise AssertionError("a search refused by pigeonhole certified a trial")
+
+    monkeypatch.setattr(engine, "tolerance_by_lifted_depth", certify)
     cfg = line_points(6)
     assert certified_partition(cfg, 2, 3, seed=0) is None
     assert certified_partition(cfg, 3, 2, seed=0) is None
+    # 13 points in 2 parts: one part has at most 6.
+    assert certified_partition(line_points(13), 2, 6, seed=0) is None
+
+
+def test_rainbow_pigeonhole_is_the_class_count():
+    # A rainbow partition has n = r * classes, so the one pigeonhole rule
+    # refuses exactly the class-removal targets t > classes - 1.
+    for classes in range(1, 6):
+        for r in range(2, 5):
+            cfg = colored_classes(classes, r, dim=1, radius=5, seed=0)
+            for t in range(8):
+                refused = unreachable(cfg, t, cfg.class_size()) is not None
+                assert refused == (t > classes - 1), (classes, r, t)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_pigeonhole_ceiling_holds_for_every_labeling(r):
+    # Soundness of the refusal: no labeling of n <= 8 points reaches
+    # floor(n / r), the first target unreachable refuses.  On coincident
+    # points a balanced labeling reaches floor(n / r) - 1, so the rule
+    # refuses no reachable target.
+    for n in range(r, 9):
+        ceiling = n // r
+        spread = uniform_ball(n, 2, 1000, n)
+        coincident = PointConfig(dim=2, points=((F(0), F(0)),) * n)
+        for cfg in (spread, coincident):
+            assert unreachable(cfg, ceiling, r) is not None
+            assert unreachable(cfg, ceiling - 1, r) is None
+            best = max(
+                tolerance_exhaustive(cfg, Partition(r, labels), t_cap=ceiling).tolerance
+                for labels in labelings_up_to_relabelling(n, r)
+            )
+            assert best <= ceiling - 1, (n, cfg)
+        assert best == ceiling - 1
 
 
 def test_certified_partition_zero_target_easy():
