@@ -24,7 +24,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from . import __version__, gen
 from .bounds import (
@@ -49,7 +49,7 @@ from .engine import (
     unreachable,
 )
 from .geometry import config_to_json, load_config, load_json
-from .linalg import as_vector, int_from_json, int_from_str
+from .linalg import as_vector, int_from_json, parse_in_short
 from .partition import Partition
 from .plot import render_svg
 from .verify import (
@@ -258,7 +258,7 @@ def cmd_depth(args: argparse.Namespace) -> int:
         cert = depth(cfg, center)
     else:
         blocks = [
-            [int_from_str(x) for x in chunk.split(",") if x.strip() != ""]
+            [parse_in_short(int, x) for x in chunk.split(",") if x.strip() != ""]
             for chunk in args.blocks.split(";")
         ]
         cert = block_depth(cfg, blocks, center)
@@ -300,12 +300,16 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _int(text: str) -> int:
-    """The type of every integer option: what int() accepts, refused in short."""
+def _option(parse: Callable[[str], Any], text: str) -> Any:
+    """The type of each numeric option: parse(text), refused in short."""
     try:
-        return int_from_str(text)
+        return parse_in_short(parse, text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_int = functools.partial(_option, int)
+_float = functools.partial(_option, float)
 
 
 @functools.cache
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--r", type=_int, required=True, help="number of parts")
     b.add_argument("--k", type=_int, help="tuple size (reay)")
     b.add_argument("--t", type=_int, help="target tolerance (epsilon)")
-    b.add_argument("--eps", type=float, help="failure probability (epsilon)")
+    b.add_argument("--eps", type=_float, help="failure probability (epsilon)")
     b.set_defaults(func=cmd_bound)
 
     g = sub.add_parser("gen", help="generate a synthetic configuration")

@@ -26,16 +26,18 @@ its subtree and a leaf holds every item's exact image in the quotient, up
 to one common integer factor.  A candidate line starts at one of the c
 items after max(P), and the leaf counts the new blocks strictly on each side
 of its lines the cheaper way (Dyckerhoff & Mozharovskyi, CSDA 98, 2016).
-For c up to about log2 M of M items, each takes a row of M cross products:
-O(c * M).  Otherwise one window turning through the lines' upper rays and
-then their antipodes, sorted once by exact integer angle keys, counts every
-line, the counterclockwise side at its upper ray and the clockwise side at
-its lower one (Rousseeuw & Ruts, AS 307, 1996): O(M log M).  At rank 2 the
-prefix is empty and the one sweep is the planar depth algorithm; at rank 1
-the candidates are the two directions of the line.  A hyperplane gets its
-normal, by back-substitution through the prefix, and its dot products only
-when one of its sides survives the prune; they recount both sides exactly,
-and a disagreement raises AssertionError.  ``candidate_count`` counts every
+For c up to about log2 M of M items, each takes a row of cross products,
+completed past the earlier items only at a line's first item: O(c * M).
+Otherwise the leaf sorts the items once by exact integer angle keys,
+O(M log M), and counts the items of each open half-turn by bisection when
+the live labels are distinct (point depth), or the distinct labels in one
+window turning through the lines' upper rays and then their antipodes (block
+depth; Rousseeuw & Ruts, AS 307, 1996).  At rank 2 the prefix is empty and
+the one sweep is the planar depth algorithm; at rank 1 the candidates are
+the two directions of the line.  A hyperplane gets its normal, by
+back-substitution through the prefix, and its dot products only when one of
+its sides survives the prune; they recount both sides exactly, and a
+disagreement raises AssertionError.  ``candidate_count`` counts every
 oriented hyperplane examined, pruned or not, recursion included.
 
 Points lying exactly on a candidate hyperplane are resolved by the same
@@ -50,7 +52,7 @@ single integer normal.  A caller that asks only whether the depth reaches
 from __future__ import annotations
 
 import reprlib
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -222,7 +224,8 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
     before it (if one does not, a smaller prefix spans every hyperplane of
     the pencil first).  A leaf with c <= n.bit_length() items after max(P)
     counts their lines' sides directly (``_direct_sides``, O(c * n)); any
-    other leaf sweeps its pencil once (``_window_counts``, O(n log n)).
+    other leaf sorts its pencil once, O(n log n): ``_half_turn_counts``
+    when the live ``fresh`` labels are all distinct, else ``_window_counts``.
     Item w lies on the positive side of the normal for j exactly when
     det(image j, image w) has the sign of the last pivot, or the opposite
     sign, as the kernel vector's sign rule fixes per pencil.
@@ -236,6 +239,8 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
         yield (), (len(sides[0]), len(sides[1])), None
         return
     n = len(coords)
+    live = [f for f in fresh if f is not None]
+    sweep = _half_turn_counts if len(set(live)) == len(live) else _window_counts
     top = k - 2  # prefix items above a leaf
     # levels[s] holds every item's row reduced against the first s prefix
     # items, over the columns that are not pivots yet.
@@ -284,7 +289,7 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
         ):
             continue  # P is not the greedy basis of the items in span(P)
         # At most about log2(n) new items: c cross-product rows beat a sort.
-        sides = _direct_sides if n - 1 - last <= n.bit_length() else _window_counts
+        sides = _direct_sides if n - 1 - last <= n.bit_length() else sweep
         planes = sides(images, fresh, last)
         if not planes:
             continue
@@ -311,9 +316,10 @@ def _direct_sides(images: Sequence[IntVec], fresh: Sequence[int | None], last: i
     for j in range(last + 1, len(images)):
         a, b = images[j]
         if a or b:
-            dets = [a * y - b * x for x, y in images]
+            dets = [a * y - b * x for x, y in images[:j]]
             # Every zero image has det 0; any other zero is an item on j's line.
-            if dets[:j].count(0) == images[:j].count((0, 0)):
+            if dets.count(0) == images[:j].count((0, 0)):
+                dets += [a * y - b * x for x, y in images[j:]]
                 pos = {f for d, f in zip(dets, fresh) if d > 0}
                 neg = {f for d, f in zip(dets, fresh) if d < 0}
                 out.append((j, len(pos) - (None in pos), len(neg) - (None in neg)))
@@ -368,6 +374,30 @@ def _window_counts(images: Sequence[IntVec], fresh: Sequence[int | None], last: 
         (j, *sides[key][:: 1 if up else -1])
         for key, (j, up, _, _) in groups.items() if j > last
     ]
+
+
+def _half_turn_counts(images: Sequence[IntVec], fresh: Sequence[int | None], last: int):
+    """``_window_counts`` when the live labels are all distinct: a side then
+    holds the live items of an open half-turn, which are, from the ray of
+    key κ, the keys after κ on that ray's half and those before κ on the other."""
+    first: dict[float, tuple[int, bool]] = {}  # per line key: its first item
+    up: list[float] = []  # the live items' keys, per half
+    low: list[float] = []
+    for h, ((x, y), key, label) in enumerate(zip(images, _line_keys(images), fresh)):
+        if x or y:
+            upper = y > 0 or (y == 0 and x > 0)
+            first.setdefault(key, (h, upper))
+            if label is not None:
+                (up if upper else low).append(key)
+    up.sort()
+    low.sort()
+    out = []
+    for key, (j, upper) in first.items():
+        if j > last:
+            a, b = (up, low) if upper else (low, up)  # j's own half first
+            out.append((j, len(a) - bisect_right(a, key) + bisect_left(b, key),
+                        len(b) - bisect_right(b, key) + bisect_left(a, key)))
+    return out
 
 
 def _blocks_to_labels(cfg: PointConfig, blocks: Sequence[Sequence[int]]) -> list[int]:

@@ -68,19 +68,15 @@ def scalar_from_str(text: str) -> Fraction:
     if "e" in text or "E" in text:
         raise ValueError(f"decimal exponents are not accepted: {reprlib.repr(text)}")
     try:
-        return _parse(Fraction, text.strip())
+        return parse_in_short(Fraction, text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {reprlib.repr(text)}") from None
 
 
-def int_from_str(text: str) -> int:
-    """int(text), refused in short as scalar_from_str refuses."""
-    return _parse(int, text)
-
-
-def _parse(parse: Callable[[str], Any], s: str) -> Any:
-    """parse(s); its ValueError quotes s through reprlib (the parsers' own
-    messages repeat the whole literal) and words int()'s digit limit."""
+def parse_in_short(parse: Callable[[str], Any], s: str) -> Any:
+    """parse(s), as int(), float() or Fraction() reads it; its ValueError
+    quotes s through reprlib (the parsers' own messages repeat the whole
+    literal) and words int()'s digit limit."""
     try:
         return parse(s)
     except ValueError as exc:

@@ -752,6 +752,16 @@ def test_long_integer_arguments_are_refused_in_short(capsys, tmp_path, argv):
     assert "set_int_max_str_digits" not in err
 
 
+def test_long_eps_value_is_refused_in_short(capsys):
+    # argparse's own float type would echo all 5,000 characters back.
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "epsilon", "--t", "3", "--d", "2", "--r", "2", "--eps", "1" * 4999 + "x"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "argument --eps: could not convert string to float" in err
+    assert len(err.encode()) < 300
+
+
 @pytest.mark.parametrize(
     "argv",
     [

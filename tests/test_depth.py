@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tverberg.depth import (
     _combine,
     _direct_sides,
+    _half_turn_counts,
     _idot,
     _line_keys,
     _lift_normal,
@@ -597,17 +598,22 @@ def test_window_counts_match_a_direct_count(groups, scale):
 
 
 @st.composite
-def _leaves(draw):
+def _leaves(draw, distinct=False):
     """A leaf's images with zero, parallel, antiparallel and scaled members,
-    labels with repeats and None, and the last prefix item."""
+    labels with repeats (or, if ``distinct``, a permutation of the item ids)
+    and None, and the last prefix item."""
     vec = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
     images = draw(st.lists(vec, min_size=1, max_size=6))
     for _ in range(draw(st.integers(0, 8))):
         x, y = draw(st.sampled_from(images))
         c = draw(st.sampled_from([1, 1, -1, 2, -3, 0]))
         images.insert(draw(st.integers(0, len(images))), (c * x, c * y))
-    label = st.none() | st.integers(0, min(4, len(images) - 1))  # ids below the item count
-    fresh = draw(st.lists(label, min_size=len(images), max_size=len(images)))
+    if distinct:
+        ids = draw(st.permutations(range(len(images))))
+        fresh = [draw(st.none() | st.just(i)) for i in ids]
+    else:
+        label = st.none() | st.integers(0, min(4, len(images) - 1))  # ids below the item count
+        fresh = draw(st.lists(label, min_size=len(images), max_size=len(images)))
     return images, fresh, draw(st.integers(-1, len(images) - 1))
 
 
@@ -622,6 +628,25 @@ def test_direct_sides_match_window_counts(leaf):
     # line for line, in the same order.
     images, fresh, last = leaf
     assert _direct_sides(images, fresh, last) == _window_counts(images, fresh, last)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_leaves(distinct=True))
+@example((_WIDE, [0, 1, 2, 3], -1))
+@example((_FIBONACCI, [5, None, 3, 0, 1, 2], 0))
+# Scaled and negated copies share their lines; hit items (None) ride along.
+@example((_WIDE + [(3 * x, 3 * y) for x, y in _WIDE] + [(-5 * x, -5 * y) for x, y in _WIDE],
+          [None, 1, 2, 3, 4, None, 6, 7, 8, 9, 10, 11], -1))
+@example((_FIBONACCI + [(-2 * x, -2 * y) for x, y in _FIBONACCI] + [(0, 0)],
+          [0, 1, 2, 3, 4, 5, 6, 7, None, 9, 10, 11, 12], 1))
+def test_half_turn_counts_match_the_label_counters(leaf):
+    # With distinct live labels a side's count is its number of live items:
+    # the bisection counter agrees with the label window and the direct rows
+    # line for line, in the same order.
+    images, fresh, last = leaf
+    expected = _window_counts(images, fresh, last)
+    assert _half_turn_counts(images, fresh, last) == expected
+    assert _direct_sides(images, fresh, last) == expected
 
 
 @settings(max_examples=80, deadline=None)
