@@ -231,7 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check_budget(args.budget, "--budget")
     _require(args.k is None or args.mode == "reay", "--k applies to reay mode only")
     cfg = load_config(args.input)
-    p = Partition.from_json(load_json(args.partition))
+    p = Partition.from_json(load_json(args.partition, "partition"))
     if args.mode == "plain":
         if method == LIFTED:
             report = tolerance_by_lifted_depth(cfg, p)
@@ -269,13 +269,12 @@ def cmd_depth(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     cfg = load_config(args.input)
-    partition = (
-        Partition.from_json(load_json(args.partition)) if args.partition else None
-    )
+    partition = None
+    if args.partition:
+        partition = Partition.from_json(load_json(args.partition, "partition"))
     removal: Optional[List[int]] = None
     if args.report:
-        report = load_json(args.report)
-        _require(isinstance(report, dict), "malformed report JSON: expected an object")
+        report = load_json(args.report, "report")
         witness = report.get("witness_removal")
         if witness is not None:
             _require(

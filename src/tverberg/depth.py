@@ -34,10 +34,11 @@ the live labels are distinct (point depth), or the distinct labels in one
 window turning through the lines' upper rays and then their antipodes (block
 depth; Rousseeuw & Ruts, AS 307, 1996).  At rank 2 the prefix is empty and
 the one sweep is the planar depth algorithm; at rank 1 the candidates are
-the two directions of the line.  A hyperplane gets its normal, by
-back-substitution through the prefix, and its dot products only when one of
-its sides survives the prune; they recount both sides exactly, and a
-disagreement raises AssertionError.  ``candidate_count`` counts every
+the two directions of the line.  A hyperplane gets its normal,
+``linalg.kernel_vector`` of its subset, and its dot products only when one
+of its sides survives the prune; one item off the hyperplane orients the
+sweep's counts to the normal, the dot products recount both sides exactly,
+and a disagreement raises AssertionError.  ``candidate_count`` counts every
 oriented hyperplane examined, pruned or not, recursion included.
 
 Points lying exactly on a candidate hyperplane are resolved by the same
@@ -57,10 +58,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .geometry import HalfSpace, PointConfig
-from .linalg import Vector, clear_denominators, dot, primitive, row_basis, vec_sub
+from .linalg import Vector, clear_denominators, dot, kernel_vector, row_basis, vec_sub
 
 IntVec = tuple[int, ...]
 # A line of a pencil: its first item, whether that item lies on the line's
@@ -137,14 +138,19 @@ def _search(
     ]
     best_val: int | None = None
     best_normal: IntVec | None = None
-    for subset, swept, pencil in _pencil_walk(coords, fresh):
+    for subset, swept, images in _pencil_walk(coords, fresh):
         counter[0] += 2
         if best_val is not None and min(swept) >= best_val:
             continue  # both sides pruned, as their dot products would show
-        z = _normal(pencil, subset)
+        z = kernel_vector([coords[i] for i in subset])  # (1,) at rank 1
         dots = [sum(map(mul, z, cv)) for cv in coords]
-        if any(dots[i] for i in subset):
-            raise AssertionError("kernel vector fails orthogonality")
+        if subset:
+            # The sweep counts det(image j, image w) > 0 first; one item off
+            # the hyperplane tells whether that side is z's positive one.
+            w = next(h for h, s in enumerate(dots) if s)
+            (a, b), (x, y) = images[subset[-1]], images[w]
+            if (a * y > b * x) != (dots[w] > 0):
+                swept = swept[::-1]
         boundary = [items[i] for i, s in enumerate(dots) if s == 0]
         for sign in (1, -1):
             new = {
@@ -172,44 +178,17 @@ def _search(
     return best_val, best_normal
 
 
-class _Pencil(NamedTuple):
-    """The hyperplanes through the span of an independent prefix of items.
-
-    ``images`` holds every item's exact image in the 2-D quotient by that
-    span times one common nonzero integer, and ``steps`` the elimination
-    that produced them: per prefix item, its pivot position, its pivot
-    value and its reduced row without the pivot.  ``flip`` picks which of
-    the two orientations of a quotient normal the kernel vector takes.
-    """
-
-    steps: tuple[tuple[int, int, list[int]], ...]
-    flip: bool
-    images: Sequence[Sequence[int]]
-
-
-def _normal(pencil: _Pencil | None, subset: tuple[int, ...]) -> IntVec:
-    """The primitive kernel vector of the subset's coordinates, sign
-    included, as ``linalg.kernel_vector`` gives it; (1,) at rank 1.
-
-    The quotient normal of the last item's image (f1, f2) is (-f2, f1) or
-    its negation; exact back-substitution through the prefix rows, the
-    last one first, fills in the pivot columns."""
-    if pencil is None:
-        return (1,)
-    f1, f2 = pencil.images[subset[-1]]
-    out = [-f2, f1] if pencil.flip else [f2, -f1]
-    for q, p, row in reversed(pencil.steps):
-        out.insert(q, -sum(map(mul, row, out)) // p)
-    return primitive(out)
-
-
 def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
-    """(subset, swept, pencil) per candidate hyperplane of the rank-k
+    """(subset, swept, images) per candidate hyperplane of the rank-k
     coordinates, at its first spanning (k-1)-subset in ``combinations``
-    order and in that order; ``swept`` holds the number of distinct
-    ``fresh`` labels (None marks a hit block) on the open positive and on
-    the open negative side of ``_normal(pencil, subset)``.  At rank 1 the
-    one candidate is the line's direction, with subset () and pencil None.
+    order and in that order.  ``images`` holds every item's image in the
+    2-D quotient by the span of all of the subset but its last item j, and
+    ``swept`` the number of distinct ``fresh`` labels (None marks a hit
+    block) over the items w with det(image j, image w) > 0 and with
+    det(image j, image w) < 0: the hyperplane's two open sides, in the
+    sweep's own orientation.  At rank 1 the one candidate is the line's
+    direction, with subset () and images None, and ``swept`` counts the
+    items x > 0 and x < 0.
 
     The independent (k-2)-prefixes P are walked depth-first.  Each node
     takes every item one fraction-free (Bareiss) step further, so a
@@ -226,9 +205,6 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
     counts their lines' sides directly (``_direct_sides``, O(c * n)); any
     other leaf sorts its pencil once, O(n log n): ``_half_turn_counts``
     when the live ``fresh`` labels are all distinct, else ``_window_counts``.
-    Item w lies on the positive side of the normal for j exactly when
-    det(image j, image w) has the sign of the last pivot, or the opposite
-    sign, as the kernel vector's sign rule fixes per pencil.
     """
     k = len(coords[0])
     if k == 1:
@@ -245,16 +221,15 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
     # levels[s] holds every item's row reduced against the first s prefix
     # items, over the columns that are not pivots yet.
     levels: list[Sequence[Sequence[int]]] = [coords] * (top + 1)
-    steps: list[tuple[int, int, list[int]]] = [(0, 1, [])] * top
     chosen = [0] * top
 
-    def prefixes(level: int, start: int, parity: int):
-        """The sum of the pivot positions at every independent prefix of
-        length ``top`` below the given node, with the walk's state set."""
+    def prefixes(level: int, start: int, prev: int):
+        """Every independent prefix of length ``top`` below the given node,
+        each time with the walk's state set; ``prev`` is the node's last
+        pivot (1 at the root), which Bareiss divides by."""
         if level == top:
-            yield parity
+            yield
             return
-        prev = steps[level - 1][1] if level else 1
         for i in range(start, n - (top - level)):
             pivot_row = levels[level][i]
             q = next((t for t, x in enumerate(pivot_row) if x), None)
@@ -264,7 +239,6 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
             keep = [t for t in range(len(pivot_row)) if t != q]
             row = [pivot_row[t] for t in keep]
             chosen[level] = i
-            steps[level] = (q, p, row)
             if level + 1 < top:
                 # Column by column, then transposed: there are more items
                 # than columns, so this takes fewer comprehensions.
@@ -278,9 +252,9 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
                     (p * v[u] - v[q] * bu, p * v[w] - v[q] * bw)
                     for v in levels[level]
                 ]
-            yield from prefixes(level + 1, i + 1, parity + q)
+            yield from prefixes(level + 1, i + 1, p)
 
-    for parity in prefixes(0, 0, 0):
+    for _ in prefixes(0, 0, 1):
         last = chosen[-1] if top else -1
         images = levels[top]
         if images[:last].count((0, 0)) >= top and any(
@@ -290,22 +264,9 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
             continue  # P is not the greedy basis of the items in span(P)
         # At most about log2(n) new items: c cross-product rows beat a sort.
         sides = _direct_sides if n - 1 - last <= n.bit_length() else sweep
-        planes = sides(images, fresh, last)
-        if not planes:
-            continue
-        # kernel_vector's signed maximal minors, against columns taken
-        # in pivot order and then the two free ones: that permutation's
-        # inversions are the sum of the pivot positions.  One row (a, b)
-        # gives (-b, a), as kernel_vector does.
-        flip = k == 2 or (k + parity) % 2 == 1
-        forward = flip == (steps[-1][1] > 0 if top else True)
         prefix = tuple(chosen)
-        # Back-substitution carries the images' factor into the normal,
-        # and primitive() divides out all of it but its sign.
-        scale = steps[-2][1] if top > 1 else 1
-        pencil = _Pencil(tuple(steps), flip != (scale < 0), images)
-        for j, pos, neg in planes:
-            yield prefix + (j,), (pos, neg) if forward else (neg, pos), pencil
+        for j, pos, neg in sides(images, fresh, last):
+            yield prefix + (j,), (pos, neg), images
 
 
 def _direct_sides(images: Sequence[IntVec], fresh: Sequence[int | None], last: int):

@@ -127,16 +127,21 @@ def load_config(path: str | Path) -> PointConfig:
     p = Path(path)
     if p.suffix.lower() == ".csv":
         return load_csv(p)
-    return config_from_json(load_json(p))
+    return config_from_json(load_json(p, "configuration"))
 
 
-def load_json(path: str | Path) -> object:
-    """Parse a JSON file; nesting too deep for the parser is a ValueError."""
+def load_json(path: str | Path, what: str) -> dict:
+    """Parse a JSON file holding one object, a ``what`` (as "configuration"):
+    any other top-level value, or nesting too deep for the parser, is a
+    ValueError."""
     try:  # integers are read as scalars, so the digit limit is worded once
         text = Path(path).read_text()
-        return json.loads(text, parse_int=lambda s: scalar_from_str(s).numerator)
+        data = json.loads(text, parse_int=lambda s: scalar_from_str(s).numerator)
     except RecursionError as exc:
         raise ValueError(f"{path}: JSON nested too deeply to read") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed {what} JSON: expected an object")
+    return data
 
 
 def load_csv(path: str | Path) -> PointConfig:

@@ -184,13 +184,12 @@ def kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
 
     Computed as the vector of signed maximal minors (the generalized cross
     product): entry j is (-1)^j times the minor that drops column j.
-    Returns None when the rows are linearly dependent, in which case every
-    minor vanishes.
+    No rows (k = 1) give (1,), the empty minor being 1.  Returns None when
+    the rows are linearly dependent, in which case every minor vanishes.
 
     One row (a, b) is the exception: it gives primitive (-b, a), the
-    negative of the general rule's (b, -a).  The sign orients the two
-    candidate half-spaces in the one-row case of the depth search, so it
-    is kept as it is; ``depth._normal`` reproduces it.
+    negative of the general rule's (b, -a).  The depth search takes every
+    candidate's normal from here, and its witnesses follow these signs.
     """
     m = len(rows)
     k = m + 1

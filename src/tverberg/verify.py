@@ -284,14 +284,12 @@ def colored_tolerance(
     hulls still intersect after deleting the points of any t classes.
     """
     p.check(cfg)
+    size = cfg.class_size()
+    if size != p.r:
+        raise ValueError(f"color classes have {size} points, expected {p.r}")
     classes = cfg.color_classes()
     for color, members in classes.items():
-        if len(members) != p.r:
-            raise ValueError(
-                f"color class {color} has {len(members)} points, expected {p.r}"
-            )
-        seen = {p.labels[i] for i in members}
-        if len(seen) != p.r:
+        if len({p.labels[i] for i in members}) != p.r:
             raise ValueError(f"color class {color} is not spread over all parts")
     if method == LIFTED:
         for name, knob in (("t_cap", t_cap), ("budget", budget)):

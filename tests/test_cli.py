@@ -820,6 +820,32 @@ def test_configuration_json_takes_only_integers_and_points(capsys, tmp_path, con
     assert code == 2 and out == ""
     assert err.startswith("error: malformed configuration JSON")
 
+
+@pytest.mark.parametrize(
+    "top", ["[1, 2]", '"points"', "null", "3"], ids=["array", "string", "null", "number"]
+)
+@pytest.mark.parametrize(
+    "command, what",
+    [
+        (["depth", "{bad}"], "configuration"),
+        (["verify", "{good}", "{bad}"], "partition"),
+        (["plot", "{good}", "--partition", "{bad}"], "partition"),
+        (["plot", "{good}", "--report", "{bad}"], "report"),
+    ],
+    ids=["depth-configuration", "verify-partition", "plot-partition", "plot-report"],
+)
+def test_top_level_json_must_be_an_object(capsys, tmp_path, top, command, what):
+    # Any other top-level value is refused by name, not with the
+    # interpreter's words for indexing it.
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"dimension": 1, "points": [["0"], ["1"]]}))
+    bad.write_text(top)
+    argv = [a.format(good=good, bad=bad) for a in command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: malformed {what} JSON: expected an object\n"
+
+
 # Malformed-input fuzzing.  Each example is a point file and a partition
 # file (which doubles as the report file of plot --report) that are well
 # formed but for a few malformed parts, or that hold any JSON or text at all.  Decimal exponents and part counts above the number

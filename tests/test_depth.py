@@ -2,6 +2,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,6 @@ from tverberg.depth import (
     _idot,
     _line_keys,
     _lift_normal,
-    _normal,
     _pencil_walk,
     _search,
     _window_counts,
@@ -265,20 +265,57 @@ def test_lifted_r3_block_depth_pinned():
     ))
 
 
-def test_search_sized_lifted_depth_pinned():
+def test_search_sized_lifted_depth_pinned(monkeypatch):
     # The d=2, r=2 search lifts 68 points to rank 3, where side counts come
     # from the pencil sweep; these values were computed by the per-candidate
     # loop, so they pin the first-minimum tie-break and the candidate count.
+    # Only candidates that survive the prune, recursion included, get a
+    # kernel vector: 25 of them.
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return kernel_vector(rows)
+
+    # The package's ``depth`` function shadows its module's name.
+    monkeypatch.setattr(sys.modules["tverberg.depth"], "kernel_vector", counted)
     cfg = uniform_ball(68, 2, 1000, 7)
     lifted = lift_partition(cfg, random_partition(68, 2, 0))
     cert = depth(lifted, (0, 0, 0))
     assert cert.depth == 21
     assert cert.candidate_count == 4590
+    assert len(calls) == 25
     assert cert.witness.normal == tuple(F(x) for x in (
         6748227237919746087110925525,
         3425778491806712610849644391,
         853996502822372012754617631547,
     ))
+    assert cert.witness.offset == 0
+
+
+@pytest.mark.parametrize(
+    "n, dim, radius, seed, value, candidates, normal",
+    [
+        (40, 4, 1000, 3, 11, 19826, (
+            -275896344149722904618774406765153578386990791325863866134688273640,
+            857135022162586799202171089211592207008804208512962674867197413784,
+            779313137056199563947467364869193167956263583195054707448235681147,
+            984812029713604322643659580014357916958841940840709473766064749917,
+        )),
+        # Coordinates in [-3, 3]: many items share a hyperplane, so the
+        # tilt recursion runs and thousands of candidates get a normal.
+        (30, 5, 3, 1, 6, 26552, (2125, -2635, 3418, 2123, -3450)),
+    ],
+    ids=["rank-4", "rank-5"],
+)
+def test_high_rank_depth_pinned(n, dim, radius, seed, value, candidates, normal):
+    # Ranks 4 and 5 walk prefixes of two and three items, whose pencils hold
+    # images scaled by a pivot of either sign; the values were computed when
+    # the walk still back-substituted its own normals.
+    cert = depth(uniform_ball(n, dim, radius, seed), (0,) * dim)
+    assert cert.depth == value
+    assert cert.candidate_count == candidates
+    assert cert.witness.normal == tuple(F(x) for x in normal)
     assert cert.witness.offset == 0
 
 
@@ -320,13 +357,29 @@ def _dot_sides(z, coords, fresh):
 
 
 def _check_walk(coords, fresh, k):
-    # Same subsets, in the same order, with kernel_vector's normals, sign
-    # included, and side counts that dot products confirm.
+    # Same subsets, in the same order, and side counts that dot products
+    # with kernel_vector's normal confirm, once oriented: every item's image
+    # determinant against the line's first item has the sign of its dot
+    # product, times one orientation per line.
     walk = list(_pencil_walk(coords, fresh))
     oracle = list(_distinct_normals(coords, k))
-    assert [(subset, _normal(pencil, subset)) for subset, _, pencil in walk] == oracle
-    for (subset, swept, _), (_, z) in zip(walk, oracle):
-        assert swept == _dot_sides(z, coords, fresh)
+    assert [subset for subset, _, _ in walk] == [subset for subset, _ in oracle]
+    for (subset, swept, images), (_, z) in zip(walk, oracle):
+        if images is None:  # rank 1: x > 0 is z = (1,)'s positive side
+            orientations = {1}
+        else:
+            a, b = images[subset[-1]]
+            signs = [
+                ((a * y > b * x) - (a * y < b * x), (d > 0) - (d < 0))
+                for (x, y), d in zip(images, (_idot(z, w) for w in coords))
+            ]
+            orientations = {o for o in (1, -1) if all(o * s == t for s, t in signs)}
+        if len(orientations) == 2:  # rank-deficient rows: every item on the line
+            assert swept == (0, 0)
+            continue
+        assert len(orientations) == 1
+        oriented = swept if orientations == {1} else swept[::-1]
+        assert oriented == _dot_sides(z, coords, fresh)
 
 
 @st.composite
@@ -385,7 +438,8 @@ _TWELVE_ROWS = _GENERIC_ROWS + [
 @example((5, [r[:5] for r in _TWELVE_ROWS]))
 @example((4, [r[:4] for r in _TWELVE_ROWS]))
 @example((3, [r[:3] for r in _TWELVE_ROWS]))
-# One row (a, b) takes the normal (-b, a), as kernel_vector does.
+# One row (a, b) takes kernel_vector's normal (-b, a), whose positive side
+# is the sweep's det((a, b), w) > 0: no swap at rank 2.
 @example((2, [(2, 4), (0, 0), (3, -5)]))
 def test_pencil_walk_matches_kernel_vector(case):
     # Raw rows, zero and rank-deficient ones included, with distinct labels.

@@ -187,6 +187,11 @@ def test_kernel_vector_general_sign_rule():
     assert kernel_vector([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]) == (0, 0, 0, -1)
 
 
+def test_kernel_vector_of_no_rows_is_the_unit():
+    # The depth search's rank-1 candidate: the 0 x 1 matrix's one empty minor.
+    assert kernel_vector([]) == (1,)
+
+
 def test_kernel_vector_rank_deficient_rows():
     # rows that do not have full rank cannot pin a 1-dim kernel
     assert kernel_vector([(1, 2, 3), (2, 4, 6)]) is None

@@ -195,7 +195,13 @@ def test_colored_requires_rainbow_partition():
             lambda cfg, p: colored_tolerance(
                 PointConfig(dim=1, points=cfg.points, colors=(1, 1, 1, 2)), p
             ),
-            "color class 1 has 3 points, expected 2",
+            "color classes must all have the same size",
+        ),
+        (
+            lambda cfg, p: colored_tolerance(
+                PointConfig(dim=1, points=cfg.points, colors=(1, 1, 1, 1)), p
+            ),
+            "color classes have 4 points, expected 2",
         ),
         (
             lambda cfg, p: colored_tolerance(cfg, p, method="oracle"),
@@ -206,7 +212,7 @@ def test_colored_requires_rainbow_partition():
             "t_cap must be nonnegative",
         ),
     ],
-    ids=["colored-class-size", "colored-method", "exhaustive-t_cap"],
+    ids=["colored-class-size", "colored-class-r", "colored-method", "exhaustive-t_cap"],
 )
 def test_invalid_arguments_are_refused(compute, message):
     points = tuple((F(v),) for v in (0, 1, 2, 3))
