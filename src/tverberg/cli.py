@@ -48,7 +48,7 @@ from .engine import (
     certified_reay_partition,
     unreachable,
 )
-from .geometry import config_to_json, load_config, load_json
+from .geometry import config_to_json, json_fields, load_config, load_json
 from .linalg import as_vector, int_from_json, parse_in_short
 from .partition import Partition
 from .plot import render_svg
@@ -231,7 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check_budget(args.budget, "--budget")
     _require(args.k is None or args.mode == "reay", "--k applies to reay mode only")
     cfg = load_config(args.input)
-    p = Partition.from_json(load_json(args.partition, "partition"))
+    p = Partition.from_json(load_json(args.partition))
     if args.mode == "plain":
         if method == LIFTED:
             report = tolerance_by_lifted_depth(cfg, p)
@@ -271,10 +271,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
     cfg = load_config(args.input)
     partition = None
     if args.partition:
-        partition = Partition.from_json(load_json(args.partition, "partition"))
+        partition = Partition.from_json(load_json(args.partition))
     removal: Optional[List[int]] = None
     if args.report:
-        report = load_json(args.report, "report")
+        report = load_json(args.report)
+        json_fields(report, "report")  # an object; every field of it is optional
         witness = report.get("witness_removal")
         if witness is not None:
             _require(

@@ -23,22 +23,20 @@ pencil: in the 2-D quotient by span(P) each of them is one line through the
 origin.  The walk visits the prefixes depth-first, and each node takes every
 item one fraction-free (Bareiss) step further, so a dependent prefix prunes
 its subtree and a leaf holds every item's exact image in the quotient, up
-to one common integer factor.  A candidate line starts at one of the c
-items after max(P), and the leaf counts the new blocks strictly on each side
-of its lines the cheaper way (Dyckerhoff & Mozharovskyi, CSDA 98, 2016).
-For c up to about log2 M of M items, each takes a row of cross products,
-completed past the earlier items only at a line's first item: O(c * M).
-Otherwise the leaf sorts the items once by exact integer angle keys,
-O(M log M), and counts the items of each open half-turn by bisection when
-the live labels are distinct (point depth), or the distinct labels in one
-window turning through the lines' upper rays and then their antipodes (block
-depth; Rousseeuw & Ruts, AS 307, 1996).  At rank 2 the prefix is empty and
-the one sweep is the planar depth algorithm; at rank 1 the candidates are
+to one common integer factor.  A candidate line starts at one of the c items
+after max(P), and the leaf counts the new blocks strictly on each side of its
+lines.  Distinct live labels (point depth) sort the M items by integer angle
+keys and bisect each open half-turn, O(M log M).  Repeated labels (block
+depth) take the cheaper way (Dyckerhoff & Mozharovskyi, CSDA 98, 2016): c
+rows of cross products for c up to about log2 M, O(c * M), else the sort and
+one window of distinct labels turning through the upper rays, then their
+antipodes (Rousseeuw & Ruts, AS 307, 1996).  At rank 2 the prefix is empty
+and the one sweep is the planar depth algorithm; at rank 1 the candidates are
 the two directions of the line.  A hyperplane gets its normal,
-``linalg.kernel_vector`` of its subset, and its dot products only when one
-of its sides survives the prune; one item off the hyperplane orients the
-sweep's counts to the normal, the dot products recount both sides exactly,
-and a disagreement raises AssertionError.  ``candidate_count`` counts every
+``linalg.kernel_vector`` of its subset, and its dot products only when one of
+its sides survives the prune; one item off the hyperplane orients the sweep's
+counts to the normal, the dot products recount both sides exactly, and a
+disagreement raises AssertionError.  ``candidate_count`` counts every
 oriented hyperplane examined, pruned or not, recursion included.
 
 Points lying exactly on a candidate hyperplane are resolved by the same
@@ -201,10 +199,10 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
     of the items on it: j > max(P) is the smallest index on the line, and
     every earlier item in span(P) lies in the span of the prefix items
     before it (if one does not, a smaller prefix spans every hyperplane of
-    the pencil first).  A leaf with c <= n.bit_length() items after max(P)
-    counts their lines' sides directly (``_direct_sides``, O(c * n)); any
-    other leaf sorts its pencil once, O(n log n): ``_half_turn_counts``
-    when the live ``fresh`` labels are all distinct, else ``_window_counts``.
+    the pencil first).  Distinct live ``fresh`` labels bisect every leaf's
+    sorted pencil (``_half_turn_counts``, O(n log n)); with repeated ones, a
+    leaf with c <= n.bit_length() items after max(P) takes ``_direct_sides``
+    (O(c * n)), and any other leaf one sorted window (``_window_counts``).
     """
     k = len(coords[0])
     if k == 1:
@@ -216,7 +214,10 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
         return
     n = len(coords)
     live = [f for f in fresh if f is not None]
-    sweep = _half_turn_counts if len(set(live)) == len(live) else _window_counts
+    if len(set(live)) == len(live):  # distinct labels: bisection at every leaf
+        few = many = _half_turn_counts
+    else:  # repeated: c <= log2(n) new items take c cross-product rows, not a window
+        few, many = _direct_sides, _window_counts
     top = k - 2  # prefix items above a leaf
     # levels[s] holds every item's row reduced against the first s prefix
     # items, over the columns that are not pivots yet.
@@ -262,8 +263,7 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
             for h in range(last) if images[h] == (0, 0)
         ):
             continue  # P is not the greedy basis of the items in span(P)
-        # At most about log2(n) new items: c cross-product rows beat a sort.
-        sides = _direct_sides if n - 1 - last <= n.bit_length() else sweep
+        sides = few if n - 1 - last <= n.bit_length() else many
         prefix = tuple(chosen)
         for j, pos, neg in sides(images, fresh, last):
             yield prefix + (j,), (pos, neg), images

@@ -98,12 +98,19 @@ def config_to_json(cfg: PointConfig) -> dict:
     return out
 
 
-def config_from_json(data: dict) -> PointConfig:
+def json_fields(data: object, what: str, *names: str) -> list:
+    """The named fields of a JSON object holding a ``what`` (as
+    "configuration"); any other value, or a missing field, is a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed {what} JSON: expected an object")
     try:
-        raw_dim = data["dimension"]
-        raw_points = data["points"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed configuration JSON: {exc}") from exc
+        return [data[name] for name in names]
+    except KeyError as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}") from exc
+
+
+def config_from_json(data: object) -> PointConfig:
+    raw_dim, raw_points = json_fields(data, "configuration", "dimension", "points")
     dim = int_from_json(raw_dim, "malformed configuration JSON: dimension")
     if not isinstance(raw_points, list) or not all(
         isinstance(row, list) for row in raw_points
@@ -127,21 +134,16 @@ def load_config(path: str | Path) -> PointConfig:
     p = Path(path)
     if p.suffix.lower() == ".csv":
         return load_csv(p)
-    return config_from_json(load_json(p, "configuration"))
+    return config_from_json(load_json(p))
 
 
-def load_json(path: str | Path, what: str) -> dict:
-    """Parse a JSON file holding one object, a ``what`` (as "configuration"):
-    any other top-level value, or nesting too deep for the parser, is a
-    ValueError."""
+def load_json(path: str | Path) -> object:
+    """Parse a JSON file; nesting too deep for the parser is a ValueError."""
     try:  # integers are read as scalars, so the digit limit is worded once
         text = Path(path).read_text()
-        data = json.loads(text, parse_int=lambda s: scalar_from_str(s).numerator)
+        return json.loads(text, parse_int=lambda s: scalar_from_str(s).numerator)
     except RecursionError as exc:
         raise ValueError(f"{path}: JSON nested too deeply to read") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"malformed {what} JSON: expected an object")
-    return data
 
 
 def load_csv(path: str | Path) -> PointConfig:

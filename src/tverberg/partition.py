@@ -5,7 +5,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 
-from .geometry import PointConfig
+from .geometry import PointConfig, json_fields
 from .linalg import int_from_json
 
 
@@ -47,11 +47,8 @@ class Partition:
         return {"r": self.r, "labels": list(self.labels)}
 
     @classmethod
-    def from_json(cls, data: dict) -> "Partition":
-        try:
-            raw_r, raw_labels = data["r"], data["labels"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed partition JSON: {exc}") from exc
+    def from_json(cls, data: object) -> "Partition":
+        raw_r, raw_labels = json_fields(data, "partition", "r", "labels")
         if not isinstance(raw_labels, list):
             raise ValueError("malformed partition JSON: labels must be a list")
         r = int_from_json(raw_r, "malformed partition JSON: r")

@@ -8,6 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tverberg.bounds import (
+    colored_slack,
+    colored_tolerance_from_n,
+    reay_slack,
+    reay_tolerance_from_m,
+)
 from tverberg.cli import build_parser, main
 
 pytestmark = pytest.mark.usefixtures("pinned_clock")
@@ -56,6 +62,26 @@ def test_bound_carath_frozen_value(capsys):
         capsys, "bound", "carath", "--n", "100", "--d", "2", "--r", "2"
     )
     assert record["guaranteed_depth"] == 27
+
+
+@pytest.mark.parametrize(
+    "argv, tolerance, slack",
+    [
+        (
+            ["colored", "--n", "200", "--d", "2", "--r", "3"],
+            colored_tolerance_from_n(200, 2, 3), colored_slack(200, 2, 3),
+        ),
+        (
+            ["reay", "--n", "300", "--d", "2", "--r", "4", "--k", "3"],
+            reay_tolerance_from_m(300, 2, 4, 3), reay_slack(300, 2, 4, 3),
+        ),
+    ],
+    ids=["colored", "reay"],
+)
+def test_bound_prints_the_library_values(capsys, argv, tolerance, slack):
+    record = run_json(capsys, "bound", *argv)
+    assert (record["tolerance"], record["lambda"]) == (tolerance, slack)
+    assert record["formula"] == argv[0]
 
 
 def test_bound_missing_argument_is_invalid(capsys):
@@ -231,6 +257,30 @@ def test_reay_partition_and_both_verify_methods_agree(capsys, tmp_path):
             "--method", method,
         )
         assert checked["tolerance"] == claimed
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--r", "1", "--t", "0"], "need at least two parts"),
+        (["--r", "2", "--t", "-1"], "target tolerance must be nonnegative"),
+        (["--r", "2", "--t", "0", "--max-trials", "0"], "need at least one trial"),
+    ],
+    ids=["one-part", "negative-t", "no-trials"],
+)
+def test_partition_refuses_an_empty_search(capsys, tmp_path, flags, message):
+    cfg = tmp_path / "line.json"
+    assert run_cli(capsys, "gen", "line", "--n", "6", "--out", str(cfg))[0] == 0
+    code, out, err = run_cli(capsys, "partition", str(cfg), *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_unparsable_source_date_epoch_is_invalid(capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    code, out, err = run_cli(capsys, "bound", "plain", "--n", "100", "--d", "1", "--r", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: SOURCE_DATE_EPOCH must be an integer\n"
 
 
 def test_partition_trial_exhaustion_exit_code(capsys, tmp_path):
@@ -414,6 +464,24 @@ def test_plot_svg_with_highlighted_removal(capsys, tmp_path):
     assert out.startswith("<svg")
     assert out.rstrip().endswith("</svg>")
     assert "circle" in out
+
+
+def test_plot_writes_its_stdout_to_the_out_file(capsys, tmp_path):
+    cfg, part, report = (tmp_path / name for name in ("cfg.json", "p.json", "r.json"))
+    code, _, _ = run_cli(
+        capsys, "gen", "uniform-ball", "--n", "10", "--seed", "7", "--out", str(cfg)
+    )
+    assert code == 0
+    run_json(
+        capsys, "partition", str(cfg), "--r", "2", "--t", "1", "--seed", "0",
+        "--out-partition", str(part), "--out-report", str(report),
+    )
+    argv = ["plot", str(cfg), "--partition", str(part), "--report", str(report)]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0 and stdout.startswith("<svg")
+    svg = tmp_path / "plot.svg"
+    assert run_cli(capsys, *argv, "--out", str(svg)) == (0, "", "")
+    assert svg.read_text() == stdout
 
 
 def test_plot_class_report_rings_every_point_of_the_removed_classes(capsys, tmp_path):
@@ -683,6 +751,8 @@ _LIMIT = "exceeds the 4300-digit limit"
             "a label must be an integer",
         ),
         ("verify", _LINE5, {"r": 2, "labels": [3] * 10**5}, "fall outside 1..2"),
+        ("verify", _LINE5, {"r": 2}, "malformed partition JSON: 'labels'"),
+        ("verify", _LINE5, {"labels": [1, 2, 1, 2, 1]}, "malformed partition JSON: 'r'"),
         (
             "blocks", {"dimension": 1, "points": [[str(i)] for i in range(20_000)]}, None,
             "blocks do not cover point indices [1, 2, 3, 4, 5, 6, ...]",
@@ -703,7 +773,7 @@ _LIMIT = "exceeds the 4300-digit limit"
     ],
     ids=[
         "long-point", "long-coordinate", "long-exponent", "list-coordinate",
-        "long-label", "many-bad-labels", "many-uncovered-indices",
+        "long-label", "many-bad-labels", "no-labels", "no-r", "many-uncovered-indices",
         "json-numerator-past-limit", "csv-numerator-past-limit", "csv-color-past-limit",
         "json-dimension-past-limit", "long-dimension", "long-r",
     ],

@@ -27,7 +27,7 @@ from tverberg.geometry import PointConfig, make_config
 from tverberg.lift import lift_partition
 from tverberg.linalg import dot, kernel_vector, row_basis
 from tverberg.partition import Partition
-from tverberg.verify import BudgetExceeded, depth_oracle
+from tverberg.verify import BudgetExceeded, depth_oracle, tolerance_by_lifted_depth
 
 from conftest import depth_1d, random_int_config
 
@@ -319,6 +319,38 @@ def test_high_rank_depth_pinned(n, dim, radius, seed, value, candidates, normal)
     assert cert.witness.offset == 0
 
 
+def _count_sides_calls(monkeypatch):
+    """Wrap the three side counters so that each call logs its name and
+    whether its leaf's c new items pass the size rule, c <= n.bit_length()."""
+    module = sys.modules["tverberg.depth"]
+    calls = []
+    for name in ("_direct_sides", "_window_counts", "_half_turn_counts"):
+        def counted(images, fresh, last, name=name, counter=getattr(module, name)):
+            n = len(images)
+            calls.append((name, n - 1 - last <= n.bit_length()))
+            return counter(images, fresh, last)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_point_depth_bisects_every_pencil(monkeypatch):
+    # Distinct labels take the bisection counter at every leaf, pencils with
+    # few new lines included; repeated labels keep the cross-product rows
+    # there.  The outputs are the same either way: only the calls tell.
+    calls = _count_sides_calls(monkeypatch)
+    depth(uniform_ball(20, 3, 1000, 5), (0, 0, 0))
+    cfg = uniform_ball(16, 2, 1000, 7)
+    tolerance_by_lifted_depth(cfg, random_partition(16, 2, 0))
+    assert set(calls) == {("_half_turn_counts", True), ("_half_turn_counts", False)}
+    calls.clear()
+    block_depth(_lifted_r3(), [[2 * b, 2 * b + 1] for b in range(6)], (0,) * 6)
+    # The bisections come from tilt recursions whose live labels are distinct.
+    assert set(calls) == {
+        ("_direct_sides", True), ("_window_counts", False), ("_half_turn_counts", True)
+    }
+
+
 def test_planar_depth_pinned():
     # Rank 2: one sweep of the empty prefix's pencil serves every line
     # through the query point.  The per-candidate loop computed these values
@@ -419,7 +451,8 @@ _GENERIC_ROWS = [
     (4, -1, 9, 7, 1, 6),
 ]
 # Twelve rows: a leaf after the prefix (0, .., k-3) holds more than log2(12)
-# later items and sweeps its pencil, one near the end counts them directly.
+# later items and sweeps its pencil; with repeated labels, one near the end
+# counts them directly.
 _TWELVE_ROWS = _GENERIC_ROWS + [
     (-2, 7, 1, -8, 2, 8),
     (1, 8, -2, 8, -1, 8),

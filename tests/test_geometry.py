@@ -12,6 +12,7 @@ from tverberg.geometry import (
     load_csv,
     make_config,
 )
+from tverberg.partition import Partition
 
 F = Fraction
 
@@ -39,6 +40,22 @@ def test_json_round_trip():
 def test_json_malformed():
     with pytest.raises(ValueError):
         config_from_json({"points": [["1/1"]]})
+
+
+@pytest.mark.parametrize(
+    "data", [[1, 2], None, "points", 3], ids=["list", "none", "string", "number"]
+)
+@pytest.mark.parametrize(
+    "from_json, what",
+    [(config_from_json, "configuration"), (Partition.from_json, "partition")],
+    ids=["configuration", "partition"],
+)
+def test_from_json_refuses_a_value_that_is_not_an_object(from_json, what, data):
+    # In the CLI's words, not the interpreter's words for indexing a list
+    # or None: library callers do not go through the file reader.
+    with pytest.raises(ValueError) as exc:
+        from_json(data)
+    assert str(exc.value) == f"malformed {what} JSON: expected an object"
 
 
 def test_file_round_trip(tmp_path):
