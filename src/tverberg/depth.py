@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import reprlib
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -128,17 +129,13 @@ def _search(
         return 0, None
     basis = row_basis([w for _, w in items])
     coords = [tuple(_idot(q, w) for q in basis) for _, w in items]
-    # Dense label ids index the sweep's window counts; None marks a hit block.
-    dense: dict[int, int] = {}
-    fresh = [
-        None if labels[idx] in hit else dense.setdefault(labels[idx], len(dense))
-        for idx, _ in items
-    ]
-    best_val: int | None = None
+    # The pencil counters see each item's label, or None for a hit block.
+    fresh = [None if labels[idx] in hit else labels[idx] for idx, _ in items]
+    best_val = inf
     best_normal: IntVec | None = None
     for subset, swept, images in _pencil_walk(coords, fresh):
         counter[0] += 2
-        if best_val is not None and min(swept) >= best_val:
+        if min(swept) >= best_val:
             continue  # both sides pruned, as their dot products would show
         z = kernel_vector([coords[i] for i in subset])  # (1,) at rank 1
         dots = [sum(map(mul, z, cv)) for cv in coords]
@@ -158,20 +155,20 @@ def _search(
             } - hit
             if len(new) != swept[sign < 0]:
                 raise AssertionError("pencil sweep miscounted a side")
-            if best_val is not None and len(new) >= best_val:
+            if len(new) >= best_val:
                 continue
             sub_val, sub_normal = _search(
                 boundary, labels, hit | new, counter
             )
             value = len(new) + sub_val
-            if best_val is None or value < best_val:
+            if value < best_val:
                 best_val = value
                 top = _lift_normal(z if sign > 0 else tuple(-x for x in z), basis)
                 strict = [items[i][1] for i, s in enumerate(dots) if s != 0]
                 best_normal = _combine(top, sub_normal, strict)
                 if best_val <= stop:
                     return best_val, best_normal
-    if best_val is None:
+    if best_normal is None:
         raise AssertionError("spanning set produced no candidate hyperplane")
     return best_val, best_normal
 
@@ -258,7 +255,7 @@ def _pencil_walk(coords: Sequence[IntVec], fresh: Sequence[int | None]):
     for _ in prefixes(0, 0, 1):
         last = chosen[-1] if top else -1
         images = levels[top]
-        if images[:last].count((0, 0)) >= top and any(
+        if top and images[:last].count((0, 0)) >= top and any(
             chosen[s := bisect_left(chosen, h)] != h and any(levels[s][h])
             for h in range(last) if images[h] == (0, 0)
         ):
@@ -297,14 +294,14 @@ def _line_keys(images: Sequence[IntVec]) -> list[float]:
 
 
 def _window_counts(images: Sequence[IntVec], fresh: Sequence[int | None], last: int):
-    """``_direct_sides`` from one sweep of the pencil, for labels below M:
-    O(M log M) for M items, against O(c * M) for c items after ``last``, so
-    the walk sweeps only when c exceeds log2 M.  With the L lines in
-    ``_line_keys`` order, the full turn is their upper rays (y > 0, or y = 0
-    and x > 0) and then their lower rays, so the antipode of direction t is
-    t + L.  One window holds the directions t + 1 .. t + L - 1: at an upper
-    ray it is the counterclockwise side, and at the antipode the clockwise
-    one, and a line's first item is on one of the two."""
+    """``_direct_sides`` from one sweep of the pencil, with a count per
+    label: O(M log M) for M items, against O(c * M) for c items after
+    ``last``, so the walk sweeps only when c exceeds log2 M.  With the L
+    lines in ``_line_keys`` order, the full turn is their upper rays (y > 0,
+    or y = 0 and x > 0) and then their lower rays, so the antipode of
+    direction t is t + L.  One window holds the directions t + 1 .. t + L - 1:
+    at an upper ray it is the counterclockwise side, and at the antipode the
+    clockwise one, and a line's first item is on one of the two."""
     groups: dict[float, LineGroup] = {}
     for h, ((x, y), key, label) in enumerate(zip(images, _line_keys(images), fresh)):
         if x or y:
@@ -317,7 +314,7 @@ def _window_counts(images: Sequence[IntVec], fresh: Sequence[int | None], last: 
     lines = sorted(groups)
     half = len(lines)
     turn = [groups[line][2] for line in lines] + [groups[line][3] for line in lines]
-    count = [0] * len(fresh)
+    count: defaultdict[int, int] = defaultdict(int)
     distinct = 0
     window = []
     for t in range(1 - half, 2 * half):

@@ -111,7 +111,7 @@ def hulls_intersect(
     for g in groups:
         for i in g:
             if not 0 <= i < len(cfg.points):
-                raise IndexError(f"point index {i} out of range")
+                raise ValueError(f"point index {i} out of range")
             if i in seen:
                 raise ValueError(f"point index {i} appears in two parts")
             seen.add(i)

@@ -153,7 +153,8 @@ def _removal_scan(
     units: points, or color classes when ``classes`` maps color ids to
     their points.  A point in no unit is never removed.  The budget is
     charged on top of ``spent``; returns the report and the new amount
-    spent.
+    spent.  The report is made at the first breaking removal set, or,
+    with ``t_cap``, after size t_cap + 1.
     """
     budget = check_budget(budget)
     units = {i: [i] for i in range(len(cfg.points))} if classes is None else classes
@@ -170,8 +171,7 @@ def _removal_scan(
     supports: List[int] = []
 
     common: Optional[Vector] = None
-    # The scan stops at its first breaking size; removing every unit empties a part.
-    tolerance, witness = t_cap, None
+    unit = "points" if classes is None else "classes"
     for s in range(len(units) + 1 if t_cap is None else t_cap + 2):
         level = comb(len(units), s)
         if spent + level > budget:
@@ -189,28 +189,17 @@ def _removal_scan(
             gone = {i for u in removal for i in units[u]}
             survivors = [[i for i in part if i not in gone] for part in parts]
             result = hulls_intersect(cfg, survivors)
-            if result is None:
-                break
+            if result is None:  # the first breaking set, in size then lex order
+                report = ToleranceReport(s - 1, EXHAUSTIVE, unit, removal, common, None)
+                return report, spent
             if s == 0:
                 common = result[0]
             support = {bit_of.get(i, 0) for i, w in result[1] if w}
             supports.append(sum(support))
-        else:
-            continue
-        tolerance, witness = s - 1, removal
-        break
-    else:
-        if t_cap is None:
-            raise AssertionError("scan removed every unit without breaking")
-    report = ToleranceReport(
-        tolerance=tolerance,
-        method=EXHAUSTIVE,
-        unit="points" if classes is None else "classes",
-        witness_removal=witness,
-        common_point=common,
-        certificate=None,
-    )
-    return report, spent
+    # Removing every unit empties a part, so only a capped scan gets here.
+    if t_cap is None:
+        raise AssertionError("scan removed every unit without breaking")
+    return ToleranceReport(t_cap, EXHAUSTIVE, unit, None, common, None), spent
 
 
 def depth_oracle(cfg: PointConfig, c: Vector, budget: Optional[int] = None) -> int:

@@ -597,8 +597,7 @@ def test_pencil_walk_matches_distinct_normals_and_dot_products(case):
     items, labels, hit = case
     basis = row_basis([w for _, w in items])
     coords = [tuple(_idot(q, w) for q in basis) for _, w in items]
-    dense = {}
-    fresh = [None if l in hit else dense.setdefault(l, len(dense)) for l in labels]
+    fresh = [None if l in hit else l for l in labels]
     _check_walk(coords, fresh, len(basis))
 
 
@@ -665,8 +664,8 @@ def test_window_counts_match_a_direct_count(groups, scale):
     # Distinct labels strictly on each side of each line's first item,
     # counted ray by ray from the signs of cross products.  Items 0..L-1
     # start the lines, in the groups' order, and hold no label; the labels
-    # follow on scaled copies of their rays, and zero images pad the label
-    # ids below the number of items.
+    # follow on scaled copies of their rays, and zero images, on no line,
+    # ride along.
     firsts = [(x, y) if up else (-x, -y) for (x, y), (up, _, _) in groups.items()]
     images, fresh, rays = firsts + [(0, 0)] * 5, [None] * (len(firsts) + 5), []
     for (x, y), (_, upper, lower) in groups.items():
@@ -688,18 +687,22 @@ def test_window_counts_match_a_direct_count(groups, scale):
 def _leaves(draw, distinct=False):
     """A leaf's images with zero, parallel, antiparallel and scaled members,
     labels with repeats (or, if ``distinct``, a permutation of the item ids)
-    and None, and the last prefix item."""
+    and None, and the last prefix item.  The labels are sometimes scaled by
+    10**6, as the search passes the caller's labels and not ids below the
+    item count."""
     vec = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
     images = draw(st.lists(vec, min_size=1, max_size=6))
     for _ in range(draw(st.integers(0, 8))):
         x, y = draw(st.sampled_from(images))
         c = draw(st.sampled_from([1, 1, -1, 2, -3, 0]))
         images.insert(draw(st.integers(0, len(images))), (c * x, c * y))
+    scale = draw(st.sampled_from([1, 10**6]))
     if distinct:
         ids = draw(st.permutations(range(len(images))))
-        fresh = [draw(st.none() | st.just(i)) for i in ids]
+        fresh = [draw(st.none() | st.just(scale * i)) for i in ids]
     else:
-        label = st.none() | st.integers(0, min(4, len(images) - 1))  # ids below the item count
+        ids = st.integers(0, min(4, len(images) - 1))
+        label = st.none() | ids.map(lambda i: scale * i)
         fresh = draw(st.lists(label, min_size=len(images), max_size=len(images)))
     return images, fresh, draw(st.integers(-1, len(images) - 1))
 

@@ -102,10 +102,20 @@ def test_hulls_common_point_in_every_hull():
         assert point_in_hull(point, [cfg.points[i] for i in part])
 
 
-def test_hulls_overlapping_parts_rejected():
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ([[0], [5]], "point index 5 out of range"),
+        ([[-1], [1]], "point index -1 out of range"),
+        ([[0, 1], [1, 2]], "point index 1 appears in two parts"),
+    ],
+    ids=["too-large", "negative", "shared"],
+)
+def test_hulls_intersect_refuses_bad_indices(parts, message):
+    # Every bad index is a ValueError, which the CLI maps to exit 2.
     cfg = make_config([(1,), (2,), (3,)])
-    with pytest.raises(ValueError):
-        hulls_intersect(cfg, [[0, 1], [1, 2]])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hulls_intersect(cfg, parts)
 
 
 def test_hulls_single_part_feasible_iff_nonempty():
